@@ -2,7 +2,7 @@ package cep
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,7 +26,7 @@ func (m *Match) IDs() []uint64 {
 	for i, e := range m.Events {
 		ids[i] = e.ID
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -88,7 +88,7 @@ func New(p *pattern.Pattern, schema *event.Schema, opts ...Option) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	sh := &shared{c: c}
+	sh := newShared(c)
 	var root evaluator
 	if p.Strategy == pattern.SkipTillAnyMatch {
 		root, err = buildEval(sh, p.Root, true)

@@ -11,12 +11,33 @@ import (
 type shared struct {
 	c     *compiled
 	stats Stats
+	// cand is the binding of the candidate instance under check and look its
+	// pattern.Lookup, bound once by New so evaluating a condition allocates
+	// nothing.
+	cand pairBinding
+	look pattern.Lookup
 	// negBuf holds recent events of types relevant to negation validation,
 	// pruned to the current window extent.
 	negBuf []*event.Event
 	// pending holds completed matches awaiting window closure because the
 	// pattern has a trailing negation.
 	pending []pendingMatch
+}
+
+func newShared(c *compiled) *shared {
+	sh := &shared{c: c}
+	sh.look = sh.candLookup
+	return sh
+}
+
+// candLookup resolves an alias against the candidate binding.
+func (sh *shared) candLookup(alias string) (*event.Event, bool) {
+	s, ok := sh.c.slotOf[alias]
+	if !ok {
+		return nil, false
+	}
+	e := sh.cand.at(s)
+	return e, e != nil
 }
 
 type pendingMatch struct {
@@ -29,12 +50,14 @@ type pendingMatch struct {
 
 // window geometry helpers ----------------------------------------------------
 
-func (sh *shared) withinWindow(in *instance) bool {
+// mergedFits reports whether the merge of a and b would lie within one
+// window.
+func (sh *shared) mergedFits(a, b *instance) bool {
 	w := sh.c.pat.Window
 	if w.Kind == pattern.CountWindow {
-		return in.maxID-in.minID <= uint64(w.Size)-1
+		return max(a.maxID, b.maxID)-min(a.minID, b.minID) <= uint64(w.Size)-1
 	}
-	return in.maxTs-in.minTs <= w.Size
+	return max(a.maxTs, b.maxTs)-min(a.minTs, b.minTs) <= w.Size
 }
 
 // canExtend reports whether in could still combine with the current event e
@@ -47,33 +70,57 @@ func (sh *shared) canExtend(in *instance, e *event.Event) bool {
 	return e.Ts-in.minTs <= w.Size
 }
 
+// primOK evaluates the single-alias conditions of slot (absolute ranges)
+// against e bound alone, before any instance for it is built.
+func (sh *shared) primOK(slot int, e *event.Event) bool {
+	sh.cand = pairBinding{slot: slot, ev: e}
+	for _, pc := range sh.c.condsBySlot[slot] {
+		if len(pc.slots) == 1 && !pc.pred(sh.c.schema, sh.look) {
+			return false
+		}
+	}
+	return true
+}
+
 // tryMerge merges two instances, enforcing window bounds and evaluating
 // every condition that becomes newly checkable. Returns nil if the merge is
-// structurally impossible or a condition fails.
+// structurally impossible or a condition fails. Every check reads the two
+// parents, so a rejected merge allocates nothing; conditions run on the same
+// candidates in the same order as they would on a built instance, which
+// keeps Stats and every condition's Obs counts independent of when the
+// instance is built.
 func (sh *shared) tryMerge(a, b *instance, ordered bool) *instance {
-	out := merge(a, b, ordered)
-	if out == nil {
+	if ordered && a.maxID >= b.minID {
 		return nil
 	}
-	if !sh.withinWindow(out) {
+	if !ordered && sharesEvent(a.events, b.events) {
+		return nil
+	}
+	for _, s := range b.boundSlots {
+		if a.bind[s] != nil {
+			return nil // same alias bound twice: impossible by construction
+		}
+	}
+	if !sh.mergedFits(a, b) {
 		return nil
 	}
 	// Conditions spanning the merge boundary become checkable now.
+	sh.cand = pairBinding{a: a, b: b}
 	for _, s := range b.boundSlots {
 		for _, pc := range sh.c.condsBySlot[s] {
 			if len(pc.slots) == 1 {
 				continue // checked at prim-instance creation
 			}
-			if !out.bound(pc.slots) || a.bound(pc.slots) || b.bound(pc.slots) {
+			if !sh.cand.bound(pc.slots) || a.bound(pc.slots) || b.bound(pc.slots) {
 				continue
 			}
-			if !pc.pred(sh.c.schema, out.lookup(sh.c.slotOf)) {
+			if !pc.pred(sh.c.schema, sh.look) {
 				return nil
 			}
 		}
 	}
 	sh.stats.Instances++
-	return out
+	return merge(a, b, ordered)
 }
 
 // evaluator is one operator of the compiled pattern tree. process consumes
@@ -137,29 +184,26 @@ type primEval struct {
 }
 
 func (p *primEval) process(e *event.Event) []*instance {
-	if e.IsBlank() || !p.node.AcceptsType(e.Type) {
+	if e.IsBlank() || !p.node.AcceptsType(e.Type) || !p.sh.primOK(p.slot, e) {
 		return nil
 	}
-	in := newPrimInstance(e, p.slot, p.nSlots)
-	// Single-alias conditions (absolute ranges) are checked immediately.
-	for _, pc := range p.sh.c.condsBySlot[p.slot] {
-		if len(pc.slots) == 1 && !pc.pred(p.sh.c.schema, in.lookup(p.sh.c.slotOf)) {
-			return nil
-		}
-	}
 	p.sh.stats.Instances++
-	return []*instance{in}
+	return []*instance{newPrimInstance(e, p.slot, p.nSlots)}
 }
 
 // seqEval ---------------------------------------------------------------------
 
 // seqEntry is one partial match of a SEQ prefix, annotated with the extent
-// of each positive child's sub-instance (needed to bound negation gaps).
+// of each positive child's sub-instance. Only negation gaps read the
+// extents, so a SEQ without negation leaves ext nil.
 type seqEntry struct {
-	inst   *instance
-	starts []uint64
-	ends   []uint64
-	endTs  []int64
+	inst *instance
+	ext  []seqExt
+}
+
+// seqExt is the ID extent of one positive child's sub-instance.
+type seqExt struct {
+	start, end uint64
 }
 
 type seqEval struct {
@@ -252,13 +296,7 @@ func (s *seqEval) process(e *event.Event) []*instance {
 		}
 		for _, nw := range news {
 			if i == 0 {
-				entry := seqEntry{
-					inst:   nw,
-					starts: make([]uint64, len(s.children)),
-					ends:   make([]uint64, len(s.children)),
-					endTs:  make([]int64, len(s.children)),
-				}
-				entry.starts[0], entry.ends[0], entry.endTs[0] = nw.minID, nw.maxID, nw.maxTs
+				entry := seqEntry{inst: nw, ext: s.extend(nil, 0, nw)}
 				if last == 0 {
 					completed = s.finish(completed, entry)
 				} else {
@@ -271,13 +309,7 @@ func (s *seqEval) process(e *event.Event) []*instance {
 				if merged == nil {
 					continue
 				}
-				entry := seqEntry{
-					inst:   merged,
-					starts: append([]uint64(nil), prev.starts...),
-					ends:   append([]uint64(nil), prev.ends...),
-					endTs:  append([]int64(nil), prev.endTs...),
-				}
-				entry.starts[i], entry.ends[i], entry.endTs[i] = nw.minID, nw.maxID, nw.maxTs
+				entry := seqEntry{inst: merged, ext: s.extend(prev.ext, i, nw)}
 				if i == last {
 					completed = s.finish(completed, entry)
 				} else {
@@ -289,19 +321,31 @@ func (s *seqEval) process(e *event.Event) []*instance {
 	return completed
 }
 
+// extend returns prev's extents with child i's set to nw's, or nil when the
+// SEQ has no negation to bound.
+func (s *seqEval) extend(prev []seqExt, i int, nw *instance) []seqExt {
+	if len(s.negs) == 0 && s.leading == nil && s.trailing == nil {
+		return nil
+	}
+	ext := make([]seqExt, len(s.children))
+	copy(ext, prev)
+	ext[i] = seqExt{start: nw.minID, end: nw.maxID}
+	return ext
+}
+
 // finish validates negations of a structurally complete entry and either
 // appends the instance to out, parks it as pending (trailing negation), or
 // drops it.
 func (s *seqEval) finish(out []*instance, entry seqEntry) []*instance {
 	for i := range s.negs {
 		spec := &s.negs[i]
-		lo := entry.ends[spec.prevIdx]   // exclusive
-		hi := entry.starts[spec.nextIdx] // exclusive
+		lo := entry.ext[spec.prevIdx].end   // exclusive
+		hi := entry.ext[spec.nextIdx].start // exclusive
 		if s.sh.negOccurs(spec, entry.inst, lo, hi) {
 			return out
 		}
 	}
-	if s.leading != nil && s.sh.negOccursLeading(s.leading, entry.inst, entry.starts[0]) {
+	if s.leading != nil && s.sh.negOccursLeading(s.leading, entry.inst, entry.ext[0].start) {
 		return out
 	}
 	if s.trailing != nil {
@@ -310,7 +354,7 @@ func (s *seqEval) finish(out []*instance, entry seqEntry) []*instance {
 			panic("cep: trailing negation outside root")
 		}
 		w := s.sh.c.pat.Window
-		pm := pendingMatch{inst: entry.inst, spec: s.trailing, gapLoID: entry.ends[len(s.children)-1]}
+		pm := pendingMatch{inst: entry.inst, spec: s.trailing, gapLoID: entry.ext[len(s.children)-1].end}
 		if w.Kind == pattern.CountWindow {
 			pm.closeID = entry.inst.minID + uint64(w.Size) - 1
 		} else {

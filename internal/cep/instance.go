@@ -16,7 +16,8 @@ import (
 
 // instance is a partial or complete sub-match of one operator subtree.
 // Instances are immutable once created; extension always allocates a new
-// instance. Events are kept sorted by ID (which is also stream order).
+// instance, and only after the extension has passed every check. Events are
+// kept sorted by ID (which is also stream order).
 type instance struct {
 	events []*event.Event
 	// bind maps global alias slots to events. Slots of aliases under a
@@ -34,12 +35,14 @@ type instance struct {
 }
 
 func newPrimInstance(e *event.Event, slot int, nSlots int) *instance {
+	buf := make([]*event.Event, 1+nSlots)
 	inst := &instance{
-		events: []*event.Event{e},
-		bind:   make([]*event.Event, nSlots),
+		events: buf[:1:1],
+		bind:   buf[1:],
 		minID:  e.ID, maxID: e.ID,
 		minTs: e.Ts, maxTs: e.Ts,
 	}
+	inst.events[0] = e
 	inst.bind[slot] = e
 	inst.boundSlots = []int{slot}
 	return inst
@@ -55,73 +58,98 @@ func (in *instance) bound(slots []int) bool {
 	return true
 }
 
-// lookup returns a pattern.Lookup over this instance's binding given the
-// alias→slot table.
-func (in *instance) lookup(slotOf map[string]int) func(string) (*event.Event, bool) {
-	return func(alias string) (*event.Event, bool) {
-		s, ok := slotOf[alias]
-		if !ok {
-			return nil, false
-		}
-		e := in.bind[s]
-		return e, e != nil
-	}
+// pairBinding is the binding of a candidate instance before it exists:
+// the merge of a and b (slot s reads a.bind[s], else b.bind[s]) or, when b
+// is nil, a primitive instance binding ev to slot. Conditions are checked
+// against it, so a candidate that fails one is never built.
+type pairBinding struct {
+	a, b *instance
+	slot int
+	ev   *event.Event
 }
 
-// merge combines two instances with disjoint events into one. ordered
-// requires all events of a to precede all events of b (SEQ/Kleene
-// iteration ordering); otherwise events are interleaved by ID (CONJ).
-// merge returns nil when the instances share an event, which under
-// skip-till-any-match would bind one stream event to two pattern slots.
-func merge(a, b *instance, ordered bool) *instance {
-	if ordered && a.maxID >= b.minID {
+func (p *pairBinding) at(s int) *event.Event {
+	if p.b == nil {
+		if s == p.slot {
+			return p.ev
+		}
 		return nil
 	}
+	if e := p.a.bind[s]; e != nil {
+		return e
+	}
+	return p.b.bind[s]
+}
+
+// bound reports whether every slot in slots is bound in the candidate.
+func (p *pairBinding) bound(slots []int) bool {
+	for _, s := range slots {
+		if p.at(s) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// sharesEvent reports whether two ID-sorted event slices hold a common
+// event, which under skip-till-any-match would bind one stream event to two
+// pattern slots.
+func sharesEvent(a, b []*event.Event) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].ID < b[j].ID:
+			i++
+		case a[i].ID > b[j].ID:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// merge builds the instance combining a and b, which tryMerge has checked:
+// their events are disjoint and they bind disjoint slots. ordered means all
+// events of a precede all events of b (SEQ/Kleene iteration ordering);
+// otherwise events are interleaved by ID (CONJ).
+func merge(a, b *instance, ordered bool) *instance {
+	n := len(a.events) + len(b.events)
+	buf := make([]*event.Event, n+len(a.bind))
 	out := &instance{
-		bind:  make([]*event.Event, len(a.bind)),
-		minID: min64(a.minID, b.minID), maxID: max64(a.maxID, b.maxID),
-		minTs: minI64(a.minTs, b.minTs), maxTs: maxI64(a.maxTs, b.maxTs),
+		events: buf[:0:n],
+		bind:   buf[n:],
+		minID:  min(a.minID, b.minID), maxID: max(a.maxID, b.maxID),
+		minTs: min(a.minTs, b.minTs), maxTs: max(a.maxTs, b.maxTs),
 	}
 	if ordered {
-		out.events = make([]*event.Event, 0, len(a.events)+len(b.events))
-		out.events = append(out.events, a.events...)
-		out.events = append(out.events, b.events...)
+		out.events = append(append(out.events, a.events...), b.events...)
 	} else {
-		out.events = mergeByID(a.events, b.events)
-		if out.events == nil {
-			return nil // duplicate event
-		}
+		out.events = mergeByID(out.events, a.events, b.events)
 	}
 	copy(out.bind, a.bind)
 	for _, s := range b.boundSlots {
-		if out.bind[s] != nil {
-			return nil // same alias bound twice: impossible by construction
-		}
 		out.bind[s] = b.bind[s]
 	}
 	out.boundSlots = mergeSlots(a.boundSlots, b.boundSlots)
 	return out
 }
 
-// mergeByID merges two ID-sorted event slices, returning nil on duplicates.
-func mergeByID(a, b []*event.Event) []*event.Event {
-	out := make([]*event.Event, 0, len(a)+len(b))
+// mergeByID appends the union of two disjoint ID-sorted event slices to dst
+// in ID order.
+func mergeByID(dst, a, b []*event.Event) []*event.Event {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].ID < b[j].ID:
-			out = append(out, a[i])
+		if a[i].ID < b[j].ID {
+			dst = append(dst, a[i])
 			i++
-		case a[i].ID > b[j].ID:
-			out = append(out, b[j])
+		} else {
+			dst = append(dst, b[j])
 			j++
-		default:
-			return nil
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 func mergeSlots(a, b []int) []int {
@@ -157,32 +185,4 @@ func (in *instance) stripSlots(slots map[int]bool) {
 		}
 	}
 	in.boundSlots = kept
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -107,22 +107,16 @@ func (s *strategyEval) accepts(i int, p *instance, e *event.Event) bool {
 }
 
 func (s *strategyEval) start(e *event.Event) *instance {
-	in := newPrimInstance(e, s.slots[0], len(s.sh.c.prims))
-	for _, pc := range s.sh.c.condsBySlot[s.slots[0]] {
-		if len(pc.slots) == 1 && !pc.pred(s.sh.c.schema, in.lookup(s.sh.c.slotOf)) {
-			return nil
-		}
+	if !s.sh.primOK(s.slots[0], e) {
+		return nil
 	}
 	s.sh.stats.Instances++
-	return in
+	return newPrimInstance(e, s.slots[0], len(s.sh.c.prims))
 }
 
 func (s *strategyEval) extend(p *instance, i int, e *event.Event) *instance {
-	nw := newPrimInstance(e, s.slots[i], len(s.sh.c.prims))
-	for _, pc := range s.sh.c.condsBySlot[s.slots[i]] {
-		if len(pc.slots) == 1 && !pc.pred(s.sh.c.schema, nw.lookup(s.sh.c.slotOf)) {
-			return nil
-		}
+	if !s.sh.primOK(s.slots[i], e) {
+		return nil
 	}
-	return s.sh.tryMerge(p, nw, true)
+	return s.sh.tryMerge(p, newPrimInstance(e, s.slots[i], len(s.sh.c.prims)), true)
 }
