@@ -67,8 +67,8 @@ func TestRejectedMergeAllocatesNothing(t *testing.T) {
 	if sh.stats.Instances != before+1 {
 		t.Errorf("survivor counted %d instances, want 1", sh.stats.Instances-before)
 	}
-	if m.bind[sa] != a1.events[0] || m.bind[sb] != bOK.events[0] || !reflect.DeepEqual(m.boundSlots, []int{sa, sb}) {
-		t.Errorf("survivor binding wrong: bind=%v slots=%v", m.bind, m.boundSlots)
+	if m.bind[sa] != a1.events[0] || m.bind[sb] != bOK.events[0] || m.mask != 1<<sa|1<<sb {
+		t.Errorf("survivor binding wrong: bind=%v mask=%b", m.bind, m.mask)
 	}
 	if m.minID != 1 || m.maxID != 2 || len(m.events) != 2 {
 		t.Errorf("survivor extent wrong: [%d,%d] events=%d", m.minID, m.maxID, len(m.events))

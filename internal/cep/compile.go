@@ -1,7 +1,9 @@
 package cep
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"dlacep/internal/event"
 	"dlacep/internal/pattern"
@@ -21,9 +23,9 @@ type compiled struct {
 	// of its slots become bound.
 	condsBySlot [][]posCond
 
-	// kcSlots maps each Kleene node to the slot set of its child subtree,
+	// kcSlots maps each Kleene node to the slot mask of its child subtree,
 	// cleared after every completed iteration.
-	kcSlots map[*pattern.Node]map[int]bool
+	kcSlots map[*pattern.Node]uint64
 
 	// negTypes is the set of event types that must be buffered for negation
 	// validation.
@@ -44,9 +46,9 @@ type compiled struct {
 // across the copies, so a condition is counted once per evaluation no matter
 // which slot triggered it.
 type posCond struct {
-	cond  pattern.Condition
-	pred  pcompile.Pred
-	slots []int
+	cond pattern.Condition
+	pred pcompile.Pred
+	mask uint64 // slots of the condition's aliases
 }
 
 // negSpec describes one negation component of a SEQ node: the negated
@@ -62,6 +64,10 @@ type negSpec struct {
 	prims            []*pattern.Node
 }
 
+// ErrTooManyAliases rejects a pattern binding more than 64 aliases, positive
+// and negated: an instance records its bound slots in one uint64.
+var ErrTooManyAliases = errors.New("cep: pattern binds more than 64 aliases")
+
 // compile builds the static tables. Every WHERE condition is typechecked
 // against the schema and lowered to a closure chain here, at submission —
 // a bad attribute name is an error from New, not a panic at the first
@@ -76,12 +82,15 @@ func compile(p *pattern.Pattern, schema *event.Schema, interpret bool) (*compile
 		pat:      p,
 		schema:   schema,
 		slotOf:   map[string]int{},
-		kcSlots:  map[*pattern.Node]map[int]bool{},
+		kcSlots:  map[*pattern.Node]uint64{},
 		negTypes: map[string]bool{},
 	}
 	for _, pr := range p.Prims() {
 		c.slotOf[pr.Alias] = len(c.prims)
 		c.prims = append(c.prims, pr)
+	}
+	if len(c.prims) > 64 {
+		return nil, fmt.Errorf("%w: %d", ErrTooManyAliases, len(c.prims))
 	}
 
 	// Alias classification: under Kleene, under negation, or plain.
@@ -117,9 +126,9 @@ func compile(p *pattern.Pattern, schema *event.Schema, interpret bool) (*compile
 		if n.Kind != pattern.KindKleene {
 			return
 		}
-		slots := map[int]bool{}
+		var slots uint64
 		for _, pr := range n.Children[0].Prims() {
-			slots[c.slotOf[pr.Alias]] = true
+			slots |= 1 << c.slotOf[pr.Alias]
 		}
 		c.kcSlots[n] = slots
 	})
@@ -190,12 +199,13 @@ func compile(p *pattern.Pattern, schema *event.Schema, interpret bool) (*compile
 		if err != nil {
 			return nil, err
 		}
-		pc := posCond{cond: sc.cond, pred: pred, slots: c.slotsOf(aliases)}
+		pc := posCond{cond: sc.cond, pred: pred, mask: c.maskOf(aliases)}
 		if negRef {
 			negCondsByNode[negNode] = append(negCondsByNode[negNode], pc)
 			continue
 		}
-		for _, s := range pc.slots {
+		for m := pc.mask; m != 0; m &= m - 1 {
+			s := bits.TrailingZeros64(m)
 			c.condsBySlot[s] = append(c.condsBySlot[s], pc)
 		}
 	}
@@ -204,10 +214,10 @@ func compile(p *pattern.Pattern, schema *event.Schema, interpret bool) (*compile
 	return c, nil
 }
 
-func (c *compiled) slotsOf(aliases []string) []int {
-	out := make([]int, len(aliases))
-	for i, a := range aliases {
-		out[i] = c.slotOf[a]
+func (c *compiled) maskOf(aliases []string) uint64 {
+	var m uint64
+	for _, a := range aliases {
+		m |= 1 << c.slotOf[a]
 	}
-	return out
+	return m
 }

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -165,9 +166,10 @@ func (en *Engine) toMatch(inst *instance) *Match {
 	en.sh.stats.Matches++
 	m := &Match{
 		Events:  append([]*event.Event(nil), inst.events...),
-		Binding: make(map[string]*event.Event, len(inst.boundSlots)),
+		Binding: make(map[string]*event.Event, bits.OnesCount64(inst.mask)),
 	}
-	for _, s := range inst.boundSlots {
+	for b := inst.mask; b != 0; b &= b - 1 {
+		s := bits.TrailingZeros64(b)
 		m.Binding[en.sh.c.prims[s].Alias] = inst.bind[s]
 	}
 	return m

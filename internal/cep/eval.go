@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dlacep/internal/event"
 	"dlacep/internal/pattern"
@@ -22,6 +23,9 @@ type shared struct {
 	// pending holds completed matches awaiting window closure because the
 	// pattern has a trailing negation.
 	pending []pendingMatch
+	// free holds pruned merged instances nothing reaches any more, for
+	// merge to rebuild. Only seqEval.pruneStores puts instances here.
+	free []*instance
 }
 
 func newShared(c *compiled) *shared {
@@ -75,7 +79,7 @@ func (sh *shared) canExtend(in *instance, e *event.Event) bool {
 func (sh *shared) primOK(slot int, e *event.Event) bool {
 	sh.cand = pairBinding{slot: slot, ev: e}
 	for _, pc := range sh.c.condsBySlot[slot] {
-		if len(pc.slots) == 1 && !pc.pred(sh.c.schema, sh.look) {
+		if pc.mask == 1<<slot && !pc.pred(sh.c.schema, sh.look) {
 			return false
 		}
 	}
@@ -96,22 +100,20 @@ func (sh *shared) tryMerge(a, b *instance, ordered bool) *instance {
 	if !ordered && sharesEvent(a.events, b.events) {
 		return nil
 	}
-	for _, s := range b.boundSlots {
-		if a.bind[s] != nil {
-			return nil // same alias bound twice: impossible by construction
-		}
+	if a.mask&b.mask != 0 {
+		return nil // same alias bound twice: impossible by construction
 	}
 	if !sh.mergedFits(a, b) {
 		return nil
 	}
-	// Conditions spanning the merge boundary become checkable now.
+	// Conditions spanning the merge boundary become checkable now: every
+	// slot bound in the candidate, some in a and some in b. Single-alias
+	// conditions were checked at prim-instance creation.
 	sh.cand = pairBinding{a: a, b: b}
-	for _, s := range b.boundSlots {
-		for _, pc := range sh.c.condsBySlot[s] {
-			if len(pc.slots) == 1 {
-				continue // checked at prim-instance creation
-			}
-			if !sh.cand.bound(pc.slots) || a.bound(pc.slots) || b.bound(pc.slots) {
+	both := a.mask | b.mask
+	for m := b.mask; m != 0; m &= m - 1 {
+		for _, pc := range sh.c.condsBySlot[bits.TrailingZeros64(m)] {
+			if pc.mask&both != pc.mask || pc.mask&a.mask == pc.mask || pc.mask&b.mask == pc.mask {
 				continue
 			}
 			if !pc.pred(sh.c.schema, sh.look) {
@@ -120,7 +122,7 @@ func (sh *shared) tryMerge(a, b *instance, ordered bool) *instance {
 		}
 	}
 	sh.stats.Instances++
-	return merge(a, b, ordered)
+	return sh.merge(a, b, ordered)
 }
 
 // evaluator is one operator of the compiled pattern tree. process consumes
@@ -366,14 +368,27 @@ func (s *seqEval) finish(out []*instance, entry seqEntry) []*instance {
 	return append(out, entry.inst)
 }
 
+// pruneStores drops the entries that can no longer extend within the
+// window and returns those the SEQ alone holds to the free list: the
+// entries of stores[i] for i >= 1, which this SEQ's own merges built and
+// put into that one store. stores[0] holds what the first child returned,
+// which a Kleene closure or a CONJ also keeps in its own store, and which
+// for a primitive was not built by a merge; recycling those would let the
+// list outgrow the merges that drain it. Completed instances and pending
+// trailing-negation matches never enter a store, so they are never
+// recycled.
 func (s *seqEval) pruneStores(e *event.Event) {
 	for i, store := range s.stores {
 		kept := store[:0]
 		for _, entry := range store {
-			if s.sh.canExtend(entry.inst, e) {
+			switch {
+			case s.sh.canExtend(entry.inst, e):
 				kept = append(kept, entry)
+			case i > 0:
+				s.sh.free = append(s.sh.free, entry.inst)
 			}
 		}
+		clear(store[len(kept):])
 		s.stores[i] = kept
 	}
 }
@@ -451,8 +466,8 @@ type kcEval struct {
 	sh    *shared
 	child evaluator
 	min   int
-	max   int // 0 = unbounded
-	strip map[int]bool
+	max   int    // 0 = unbounded
+	strip uint64 // slots of the child subtree
 	store []*instance
 }
 

@@ -152,3 +152,20 @@ func TestFuzzMatchInvariants(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRecyclingShapes runs one recycling-hazard shape of recycle_test.go
+// over a seeded random stream, against the windowed reference and under
+// runRecycled's ownership checks. The seed corpus covers every shape.
+func FuzzRecyclingShapes(f *testing.F) {
+	for i := range recycleShapes {
+		f.Add(uint8(i), int64(i+1))
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, seed int64) {
+		p := pattern.MustParse(recycleShapes[int(shape)%len(recycleShapes)].src)
+		st := randStream(rand.New(rand.NewSource(seed)), 200, recycleTypes)
+		got, _ := runRecycled(t, p, st)
+		if want := refMatchesWindowed(p, st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v seed %d: engine %d matches, reference %d", p, seed, len(got), len(want))
+		}
+	})
+}

@@ -11,51 +11,75 @@
 package cep
 
 import (
+	"math/bits"
+
 	"dlacep/internal/event"
 )
 
 // instance is a partial or complete sub-match of one operator subtree.
-// Instances are immutable once created; extension always allocates a new
+// Instances are immutable while live; extension always builds a new
 // instance, and only after the extension has passed every check. Events are
 // kept sorted by ID (which is also stream order).
+//
+// A merged instance that nothing can reach any more goes back to the
+// engine's free list, and a later merge rebuilds it in place. Only a SEQ
+// knows when that is safe; seqEval.pruneStores says which instances it
+// returns.
 type instance struct {
+	// buf backs events (its head) and bind (its last nSlots entries).
+	buf    []*event.Event
 	events []*event.Event
 	// bind maps global alias slots to events. Slots of aliases under a
 	// Kleene operator are cleared once the iteration's scoped conditions
 	// have been checked, so repeated iterations never conflict.
-	bind       []*event.Event
-	boundSlots []int // indices into bind that are non-nil, ascending
-	minID      uint64
-	maxID      uint64
-	minTs      int64
-	maxTs      int64
+	bind  []*event.Event
+	mask  uint64 // bit s set iff bind[s] != nil
+	minID uint64
+	maxID uint64
+	minTs int64
+	maxTs int64
 	// iters counts completed Kleene iterations when the instance belongs to
 	// a Kleene store; zero elsewhere.
 	iters int
 }
 
+// take returns an instance for a merge of n events, with an empty binding:
+// the top of the free list when its buffer is big enough, rebuilt in
+// place, and a new instance otherwise. A new buffer holds at least nSlots
+// events, which every instance outside a Kleene closure fits, so a
+// recycled one almost always fits. Every merge takes from the list before
+// allocating, and only merged instances are put on it, so the list never
+// holds more instances than were live at once. The caller sets every other
+// field.
+func (sh *shared) take(n int) *instance {
+	nSlots := len(sh.c.prims)
+	k := len(sh.free) - 1
+	if k < 0 || len(sh.free[k].buf) < n+nSlots {
+		buf := make([]*event.Event, max(n, nSlots)+nSlots)
+		return &instance{buf: buf, events: buf[:0:n], bind: buf[len(buf)-nSlots:]}
+	}
+	out := sh.free[k]
+	sh.free[k] = nil
+	sh.free = sh.free[:k]
+	buf := out.buf
+	clear(buf[n:])
+	*out = instance{buf: buf, events: buf[:0:n], bind: buf[len(buf)-nSlots:]}
+	return out
+}
+
 func newPrimInstance(e *event.Event, slot int, nSlots int) *instance {
 	buf := make([]*event.Event, 1+nSlots)
 	inst := &instance{
+		buf:    buf,
 		events: buf[:1:1],
 		bind:   buf[1:],
+		mask:   1 << slot,
 		minID:  e.ID, maxID: e.ID,
 		minTs: e.Ts, maxTs: e.Ts,
 	}
 	inst.events[0] = e
 	inst.bind[slot] = e
-	inst.boundSlots = []int{slot}
 	return inst
-}
-
-// bound reports whether every slot in slots is bound.
-func (in *instance) bound(slots []int) bool {
-	for _, s := range slots {
-		if in.bind[s] == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // pairBinding is the binding of a candidate instance before it exists:
@@ -81,16 +105,6 @@ func (p *pairBinding) at(s int) *event.Event {
 	return p.b.bind[s]
 }
 
-// bound reports whether every slot in slots is bound in the candidate.
-func (p *pairBinding) bound(slots []int) bool {
-	for _, s := range slots {
-		if p.at(s) == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // sharesEvent reports whether two ID-sorted event slices hold a common
 // event, which under skip-till-any-match would bind one stream event to two
 // pattern slots.
@@ -113,25 +127,21 @@ func sharesEvent(a, b []*event.Event) bool {
 // their events are disjoint and they bind disjoint slots. ordered means all
 // events of a precede all events of b (SEQ/Kleene iteration ordering);
 // otherwise events are interleaved by ID (CONJ).
-func merge(a, b *instance, ordered bool) *instance {
-	n := len(a.events) + len(b.events)
-	buf := make([]*event.Event, n+len(a.bind))
-	out := &instance{
-		events: buf[:0:n],
-		bind:   buf[n:],
-		minID:  min(a.minID, b.minID), maxID: max(a.maxID, b.maxID),
-		minTs: min(a.minTs, b.minTs), maxTs: max(a.maxTs, b.maxTs),
-	}
+func (sh *shared) merge(a, b *instance, ordered bool) *instance {
+	out := sh.take(len(a.events) + len(b.events))
 	if ordered {
 		out.events = append(append(out.events, a.events...), b.events...)
 	} else {
 		out.events = mergeByID(out.events, a.events, b.events)
 	}
 	copy(out.bind, a.bind)
-	for _, s := range b.boundSlots {
+	for m := b.mask; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
 		out.bind[s] = b.bind[s]
 	}
-	out.boundSlots = mergeSlots(a.boundSlots, b.boundSlots)
+	out.mask = a.mask | b.mask
+	out.minID, out.maxID = min(a.minID, b.minID), max(a.maxID, b.maxID)
+	out.minTs, out.maxTs = min(a.minTs, b.minTs), max(a.maxTs, b.maxTs)
 	return out
 }
 
@@ -152,37 +162,12 @@ func mergeByID(dst, a, b []*event.Event) []*event.Event {
 	return append(dst, b[j:]...)
 }
 
-func mergeSlots(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// stripSlots clears the given slots from the instance binding (used when a
-// Kleene iteration completes). The receiver is freshly allocated by the
+// stripSlots clears the slots in mask from the instance binding (used when
+// a Kleene iteration completes). The receiver is freshly built by the
 // caller's merge, so in-place mutation is safe.
-func (in *instance) stripSlots(slots map[int]bool) {
-	if len(slots) == 0 {
-		return
+func (in *instance) stripSlots(mask uint64) {
+	for m := in.mask & mask; m != 0; m &= m - 1 {
+		in.bind[bits.TrailingZeros64(m)] = nil
 	}
-	kept := in.boundSlots[:0]
-	for _, s := range in.boundSlots {
-		if slots[s] {
-			in.bind[s] = nil
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	in.boundSlots = kept
+	in.mask &^= mask
 }

@@ -350,7 +350,7 @@ func (p *AdaptiveProcessor) feedExact(ev event.Event) []*cep.Match {
 		return nil
 	}
 	sw := metrics.StartStopwatch()
-	perEngine := make([][]*cep.Match, len(p.engines))
+	perEngine := make([][]keyedMatch, len(p.engines))
 	for i := range p.engines {
 		if p.board.Level(i) != LevelExact || ev.ID < p.horizon[i] {
 			continue
@@ -472,8 +472,8 @@ func (p *AdaptiveProcessor) relayBelow(out []*cep.Match, upTo uint64) []*cep.Mat
 // engine, applying the pattern's shed gate on the LevelShed rung, and
 // returns the batch's new matches deduped and key-sorted (engineSet
 // ordering semantics).
-func (p *AdaptiveProcessor) processRelay(batch []event.Event) []*cep.Match {
-	perEngine := make([][]*cep.Match, len(p.engines))
+func (p *AdaptiveProcessor) processRelay(batch []event.Event) []keyedMatch {
+	perEngine := make([][]keyedMatch, len(p.engines))
 	for i := range p.engines {
 		lv := p.board.Level(i)
 		if lv < LevelFiltered {
@@ -552,7 +552,7 @@ func (p *AdaptiveProcessor) Flush() ([]*cep.Match, error) {
 		out = p.collect(out, p.processRelay(batch))
 	}
 	p.pendingG.Set(0)
-	perEngine := make([][]*cep.Match, len(p.engines))
+	perEngine := make([][]keyedMatch, len(p.engines))
 	for i := range p.engines {
 		perEngine[i] = p.runEngine(i, func(en *cep.Engine) []*cep.Match { return en.Flush() })
 	}
@@ -582,7 +582,7 @@ func (p *AdaptiveProcessor) Result() *Result { return p.res }
 // runEngine feeds fn's output for engine i under the per-pattern span and
 // gauge publication engineSet.runOne performs, so cep.pattern.N.* telemetry
 // is path-independent.
-func (p *AdaptiveProcessor) runEngine(i int, fn func(*cep.Engine) []*cep.Match) []*cep.Match {
+func (p *AdaptiveProcessor) runEngine(i int, fn func(*cep.Engine) []*cep.Match) []keyedMatch {
 	en := p.engines[i]
 	var out []*cep.Match
 	if p.prefix == nil {
@@ -593,12 +593,13 @@ func (p *AdaptiveProcessor) runEngine(i int, fn func(*cep.Engine) []*cep.Match) 
 		sp.End()
 		en.Publish(p.pl.Obs, p.prefix[i])
 	}
+	ks := keyed(out)
 	if p.patKeys != nil {
-		for _, m := range out {
-			p.patKeys[i][m.Key()] = true
+		for _, k := range ks {
+			p.patKeys[i][k.key] = true
 		}
 	}
-	return out
+	return ks
 }
 
 func (p *AdaptiveProcessor) shedCount(i int) {
@@ -615,11 +616,11 @@ func (p *AdaptiveProcessor) instanceCount() int64 {
 	return n
 }
 
-func (p *AdaptiveProcessor) collect(out []*cep.Match, ms []*cep.Match) []*cep.Match {
-	for _, m := range ms {
-		p.res.Keys[m.Key()] = true
-		p.res.Matches = append(p.res.Matches, m)
-		out = append(out, m)
+func (p *AdaptiveProcessor) collect(out []*cep.Match, ks []keyedMatch) []*cep.Match {
+	for _, k := range ks {
+		p.res.Keys[k.key] = true
+		p.res.Matches = append(p.res.Matches, k.m)
+		out = append(out, k.m)
 	}
 	return out
 }

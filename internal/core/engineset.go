@@ -44,12 +44,12 @@ func (pl *Pipeline) NewEngineSet() (*EngineSet, error) {
 // Process feeds one ID-ordered relayed batch to every engine and returns the
 // new matches, deduped by engine index and sorted by match key.
 func (s *EngineSet) Process(batch []event.Event) []*cep.Match {
-	return s.es.Process(batch, s.seen)
+	return appendMatches(nil, s.es.Process(batch, s.seen))
 }
 
 // Flush closes every engine and returns the remaining new matches.
 func (s *EngineSet) Flush() []*cep.Match {
-	return s.es.Flush(s.seen)
+	return appendMatches(nil, s.es.Flush(s.seen))
 }
 
 // Stats returns the per-engine cost counters in pattern order.

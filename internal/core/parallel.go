@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"dlacep/internal/cep"
@@ -197,8 +198,9 @@ func (es *engineSet) instanceCount() int64 {
 }
 
 // runOne feeds fn's output for engine i, timed and published when the set
-// is observed. Called from whichever goroutine owns engine i.
-func (es *engineSet) runOne(i int, fn func(*cep.Engine) []*cep.Match) []*cep.Match {
+// is observed, and keys each match. Called from whichever goroutine owns
+// engine i.
+func (es *engineSet) runOne(i int, fn func(*cep.Engine) []*cep.Match) []keyedMatch {
 	en := es.engines[i]
 	var out []*cep.Match
 	if es.reg == nil {
@@ -209,19 +211,20 @@ func (es *engineSet) runOne(i int, fn func(*cep.Engine) []*cep.Match) []*cep.Mat
 		sp.End()
 		en.Publish(es.reg, es.prefix[i])
 	}
+	ks := keyed(out)
 	if es.patKeys != nil {
-		for _, m := range out {
-			es.patKeys[i][m.Key()] = true
+		for _, k := range ks {
+			es.patKeys[i][k.key] = true
 		}
 	}
-	return out
+	return ks
 }
 
 // Process feeds the batch (ID-ordered) to every engine and returns the
 // matches not yet present in seen, in deterministic order: deduped by
 // engine index, then sorted by match key. seen is updated in place.
-func (es *engineSet) Process(batch []event.Event, seen map[string]bool) []*cep.Match {
-	perEngine := make([][]*cep.Match, len(es.engines))
+func (es *engineSet) Process(batch []event.Event, seen map[string]bool) []keyedMatch {
+	perEngine := make([][]keyedMatch, len(es.engines))
 	run := func(en *cep.Engine) []*cep.Match { return runBatch(en, batch) }
 	if es.par {
 		var wg sync.WaitGroup
@@ -243,8 +246,8 @@ func (es *engineSet) Process(batch []event.Event, seen map[string]bool) []*cep.M
 
 // Flush closes every engine and returns the remaining new matches in the
 // same deterministic order as Process.
-func (es *engineSet) Flush(seen map[string]bool) []*cep.Match {
-	perEngine := make([][]*cep.Match, len(es.engines))
+func (es *engineSet) Flush(seen map[string]bool) []keyedMatch {
+	perEngine := make([][]keyedMatch, len(es.engines))
 	run := func(en *cep.Engine) []*cep.Match { return en.Flush() }
 	if es.par {
 		var wg sync.WaitGroup
@@ -281,19 +284,46 @@ func runBatch(en *cep.Engine, batch []event.Event) []*cep.Match {
 	return out
 }
 
+// keyedMatch is a match with its Key, computed once where the engine emits
+// the match and carried through dedup, ordering and collection: a Key call
+// allocates an ID slice and a string.
+type keyedMatch struct {
+	key string
+	m   *cep.Match
+}
+
+func keyed(ms []*cep.Match) []keyedMatch {
+	if len(ms) == 0 {
+		return nil
+	}
+	out := make([]keyedMatch, len(ms))
+	for i, m := range ms {
+		out[i] = keyedMatch{m.Key(), m}
+	}
+	return out
+}
+
+// appendMatches appends the matches of ks to dst.
+func appendMatches(dst []*cep.Match, ks []keyedMatch) []*cep.Match {
+	for _, k := range ks {
+		dst = append(dst, k.m)
+	}
+	return dst
+}
+
 // mergeMatches dedups the per-engine match lists against seen (updating it)
 // and returns the new matches sorted by key.
-func mergeMatches(perEngine [][]*cep.Match, seen map[string]bool) []*cep.Match {
-	var out []*cep.Match
-	for _, ms := range perEngine {
-		for _, m := range ms {
-			if k := m.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, m)
+func mergeMatches(perEngine [][]keyedMatch, seen map[string]bool) []keyedMatch {
+	var out []keyedMatch
+	for _, ks := range perEngine {
+		for _, k := range ks {
+			if !seen[k.key] {
+				seen[k.key] = true
+				out = append(out, k)
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortStableFunc(out, func(a, b keyedMatch) int { return strings.Compare(a.key, b.key) })
 	return out
 }
 

@@ -255,7 +255,7 @@ func (pl *Pipeline) run(windows [][]event.Event, totalEvents int) (*Result, erro
 		res.EventsRelayed += len(batch)
 		relayedC.Add(int64(len(batch)))
 		sp := obs.Start(pl.Obs, metricCEPBatch)
-		res.Matches = append(res.Matches, es.Process(batch, res.Keys)...)
+		res.Matches = appendMatches(res.Matches, es.Process(batch, res.Keys))
 		sp.End()
 		res.CEPTime += sw.Elapsed()
 		pendingG.Set(float64(len(pending)))
@@ -294,7 +294,7 @@ func (pl *Pipeline) run(windows [][]event.Event, totalEvents int) (*Result, erro
 	}
 	flush(0, true)
 	sw = metrics.StartStopwatch()
-	res.Matches = append(res.Matches, es.Flush(res.Keys)...)
+	res.Matches = appendMatches(res.Matches, es.Flush(res.Keys))
 	res.CEPStats = es.Stats()
 	res.KeysByPattern = es.patKeys
 	res.CEPTime += sw.Elapsed()
@@ -373,8 +373,9 @@ func RunECEPObserved(schema *event.Schema, pats []*pattern.Pattern, st *event.St
 		// below erases cross-pattern repeats that per-pattern recall needs.
 		res.KeysByPattern[i] = map[string]bool{}
 		for _, m := range r.matches {
-			res.KeysByPattern[i][m.Key()] = true
-			if k := m.Key(); !res.Keys[k] {
+			k := m.Key()
+			res.KeysByPattern[i][k] = true
+			if !res.Keys[k] {
 				res.Keys[k] = true
 				res.Matches = append(res.Matches, m)
 			}

@@ -303,11 +303,11 @@ func (p *Processor) relayBelow(out []*cep.Match, upTo uint64) []*cep.Match {
 
 // collect records engineSet output (already deduped against p.seen) in the
 // accumulated result and the caller's return slice.
-func (p *Processor) collect(out []*cep.Match, ms []*cep.Match) []*cep.Match {
-	for _, m := range ms {
-		p.res.Keys[m.Key()] = true
-		p.res.Matches = append(p.res.Matches, m)
-		out = append(out, m)
+func (p *Processor) collect(out []*cep.Match, ks []keyedMatch) []*cep.Match {
+	for _, k := range ks {
+		p.res.Keys[k.key] = true
+		p.res.Matches = append(p.res.Matches, k.m)
+		out = append(out, k.m)
 	}
 	return out
 }

@@ -45,7 +45,9 @@ func (n *Network) Infer(x [][]float64, s *Scratch) [][]float64 {
 		return n.Forward(x, false)
 	}
 	s.reset()
-	return n.infer(x, s)
+	out := n.infer(x, s)
+	s.fit()
+	return out
 }
 
 // infer runs the layer chain against an already-reset arena. Nested

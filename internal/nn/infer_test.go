@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // inferTestNets builds every layer combination the pipeline (and its
@@ -128,7 +129,8 @@ func FuzzInferEquivalence(f *testing.F) {
 
 // TestNetworkInferZeroAllocs is the steady-state allocation gate the CI
 // bench-smoke step relies on: after one warm-up window sizes the arena,
-// Network.Infer must allocate nothing.
+// Network.Infer must allocate nothing. AllocsPerRun's own first call is the
+// one warm-up.
 func TestNetworkInferZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	nets := map[string]*Network{}
@@ -143,9 +145,72 @@ func TestNetworkInferZeroAllocs(t *testing.T) {
 	for name, net := range nets {
 		x := randSeq(rng, 20, 5)
 		s := NewScratch()
-		net.Infer(x, s) // warm-up: grows the arena to its high-water mark
 		if allocs := testing.AllocsPerRun(50, func() { net.Infer(x, s) }); allocs != 0 {
 			t.Errorf("%s: Network.Infer allocates %.1f times per window in steady state, want 0", name, allocs)
+		}
+	}
+}
+
+// arenaBlocks identifies a Scratch's three backing blocks.
+type arenaBlocks struct {
+	flat *float64
+	rows *[]float64
+	mats *[][]float64
+}
+
+func blocksOf(s *Scratch) arenaBlocks {
+	return arenaBlocks{unsafe.SliceData(s.flat), unsafe.SliceData(s.rows), unsafe.SliceData(s.mats)}
+}
+
+// TestScratchSizedByFirstWindow pins the arena's sizing rule on the shapes
+// of the Infer benchmarks: the first window, however often it outgrows the
+// arena midway, leaves blocks big enough for every later window of its
+// shape. After exactly one warm-up window, many further windows with fresh
+// inputs allocate nothing and never replace a block. AllocsPerRun floors
+// its mean, so one regrowth in 40 windows reads 0; the block check is what
+// catches it.
+func TestScratchSizedByFirstWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	lstm := &Network{Layers: []Layer{NewLSTM(32, 12, false, rng)}}
+	stacked := NewStackedBiLSTM(16, 12, 3, rng)
+	stacked.Layers = append(stacked.Layers, NewLinear(stacked.OutDim(), 2, rng))
+	const K, T = 4, 32
+	inputs := func(dim int) [][][]float64 {
+		xs := make([][][]float64, 8)
+		for i := range xs {
+			xs[i] = randSeq(rng, T, dim)
+		}
+		return xs
+	}
+	lstmIn, stackedIn := inputs(32), inputs(16)
+	cases := []struct {
+		name   string
+		window func(s *Scratch, i int)
+	}{
+		{"LSTMInfer", func(s *Scratch, i int) { lstm.Infer(lstmIn[i%len(lstmIn)], s) }},
+		{"StackedBiLSTMInfer", func(s *Scratch, i int) { stacked.Infer(stackedIn[i%len(stackedIn)], s) }},
+		{"InferBatch", func(s *Scratch, i int) {
+			lo := i % (len(stackedIn) - K + 1)
+			stacked.InferBatch(stackedIn[lo:lo+K], s)
+		}},
+	}
+	for _, c := range cases {
+		s := NewScratch()
+		calls := 0
+		var sized arenaBlocks
+		// AllocsPerRun's first call is the one warm-up window.
+		allocs := testing.AllocsPerRun(40, func() {
+			c.window(s, calls)
+			if calls == 0 {
+				sized = blocksOf(s)
+			} else if b := blocksOf(s); b != sized {
+				t.Errorf("%s: window %d replaced an arena block", c.name, calls)
+				sized = b
+			}
+			calls++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per window after one warm-up window, want 0", c.name, allocs)
 		}
 	}
 }

@@ -74,6 +74,7 @@ func (n *Network) InferBatch(xs [][][]float64, s *Scratch) [][][]float64 {
 		}
 		cur = next
 	}
+	s.fit()
 	return cur
 }
 

@@ -112,9 +112,10 @@ func FuzzInferBatchEquivalence(f *testing.F) {
 	})
 }
 
-// TestNetworkInferBatchZeroAllocs: after one warm-up batch sizes the arena,
-// InferBatch must allocate nothing — the shard steady-state loop depends on
-// it (CI gates BenchmarkShardLoop/fast with -fail-on-allocs).
+// TestNetworkInferBatchZeroAllocs: after one warm-up batch (AllocsPerRun's
+// own first call) sizes the arena, InferBatch must allocate nothing — the
+// shard steady-state loop depends on it (CI gates BenchmarkShardLoop/fast
+// with -fail-on-allocs).
 func TestNetworkInferBatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	net := NewStackedBiLSTM(5, 8, 3, rng)
@@ -124,7 +125,6 @@ func TestNetworkInferBatchZeroAllocs(t *testing.T) {
 		xs[w] = randSeq(rng, 20, 5)
 	}
 	s := NewScratch()
-	net.InferBatch(xs, s) // warm-up: grows the arena to its high-water mark
 	if allocs := testing.AllocsPerRun(50, func() { net.InferBatch(xs, s) }); allocs != 0 {
 		t.Errorf("Network.InferBatch allocates %.1f times per batch in steady state, want 0", allocs)
 	}

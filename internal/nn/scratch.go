@@ -23,6 +23,10 @@ type Scratch struct {
 	rOff int
 	mats [][][]float64
 	mOff int
+	// fNeed, rNeed and mNeed count the window's total demand of each kind.
+	// Mid-window growth restarts at offset 0 of a block smaller than that
+	// total, so fit sizes the blocks to it once the window is done.
+	fNeed, rNeed, mNeed int
 }
 
 // NewScratch returns an empty arena; the first inference pass sizes it.
@@ -31,9 +35,28 @@ func NewScratch() *Scratch { return &Scratch{} }
 // reset rewinds the arena to empty. Called by Network.Infer at the top of
 // every window; all previously returned slices become reusable.
 func (s *Scratch) reset() {
-	s.fOff = 0
-	s.rOff = 0
-	s.mOff = 0
+	s.fOff, s.fNeed = 0, 0
+	s.rOff, s.rNeed = 0, 0
+	s.mOff, s.mNeed = 0, 0
+}
+
+// fit replaces each backing block smaller than the window's total demand
+// with one block of that size, so the next window of the same shape is
+// served without growing. Called by Network.Infer and Network.InferBatch
+// after the last layer; slices already returned keep the old blocks alive.
+func (s *Scratch) fit() {
+	if s.fNeed > len(s.flat) {
+		//dlacep:ignore hotalloc arena sizing: once per kind, when a window outgrew the arena
+		s.flat = make([]float64, s.fNeed)
+	}
+	if s.rNeed > len(s.rows) {
+		//dlacep:ignore hotalloc arena sizing: once per kind, when a window outgrew the arena
+		s.rows = make([][]float64, s.rNeed)
+	}
+	if s.mNeed > len(s.mats) {
+		//dlacep:ignore hotalloc arena sizing: once per kind, when a window outgrew the arena
+		s.mats = make([][][]float64, s.mNeed)
+	}
 }
 
 // floats bump-allocates a zeroed length-n slice. When the backing array is
@@ -41,6 +64,7 @@ func (s *Scratch) reset() {
 // window keep the old backing alive, and from the next window on the larger
 // array serves everything without allocating.
 func (s *Scratch) floats(n int) []float64 {
+	s.fNeed += n
 	if s.fOff+n > len(s.flat) {
 		c := 2 * len(s.flat)
 		if c < s.fOff+n {
@@ -63,6 +87,7 @@ func (s *Scratch) floats(n int) []float64 {
 // written output rows, …). Layers that accumulate into — or conditionally
 // skip — elements must use floats/matrix instead.
 func (s *Scratch) floatsUninit(n int) []float64 {
+	s.fNeed += n
 	if s.fOff+n > len(s.flat) {
 		c := 2 * len(s.flat)
 		if c < s.fOff+n {
@@ -80,6 +105,7 @@ func (s *Scratch) floatsUninit(n int) []float64 {
 // rowHeaders bump-allocates n row headers (the [][]float64 spine of a
 // matrix); the headers are nil until the caller points them at float data.
 func (s *Scratch) rowHeaders(n int) [][]float64 {
+	s.rNeed += n
 	if s.rOff+n > len(s.rows) {
 		c := 2 * len(s.rows)
 		if c < s.rOff+n {
@@ -101,6 +127,7 @@ func (s *Scratch) rowHeaders(n int) [][]float64 {
 // window batch); the headers are nil until the caller points them at
 // matrices. Backs the K-window batch path (inferbatch.go).
 func (s *Scratch) matHeaders(n int) [][][]float64 {
+	s.mNeed += n
 	if s.mOff+n > len(s.mats) {
 		c := 2 * len(s.mats)
 		if c < s.mOff+n {
