@@ -134,6 +134,24 @@ func TestDiagnosticsSortedByPosition(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints checks that the loader type-checks the
+// files go build would compile: a function split across a tagged-out file
+// and a default one must not be reported as redeclared, and the tagged-out
+// file's findings must not appear.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/core/clock.go":       "package core\n\nfunc now() int64 { return 0 }\n",
+		"internal/core/clock_never.go": "//go:build dlacep_never\n\npackage core\n\nfunc now() int64 { panic(0) }\n",
+	})
+	m, err := LoadTree(root, "dlacep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := Run(m, []*Analyzer{LibPanic}); len(diags) != 0 {
+		t.Errorf("findings from a tagged-out file: %v", diags)
+	}
+}
+
 // TestRealModuleClean is the driver test demanded by the issue: dlacep-vet
 // must report zero unsuppressed findings on the repository itself. A
 // violation introduced anywhere in the tree fails this test even before

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -48,8 +49,9 @@ func LoadModule(root string) (*Module, error) {
 // mirror the real module's directory layout, so scope-gated analyzers see
 // the same module-relative paths as in production runs.
 //
-// Test files (_test.go), testdata, vendor, and hidden directories are
-// skipped: the analyzers guard shipped library code.
+// Test files (_test.go), files excluded by build constraints on this
+// platform, testdata, vendor, and hidden directories are skipped: the
+// analyzers guard shipped library code.
 func LoadTree(root, modPath string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -73,6 +75,11 @@ func LoadTree(root, modPath string) (*Module, error) {
 		}
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
+		}
+		// Only the files go build compiles here: a package may split a
+		// function across _linux/_other files or //go:build lines.
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {

@@ -43,28 +43,35 @@ type instance struct {
 	iters int
 }
 
-// take returns an instance for a merge of n events, with an empty binding:
-// the top of the free list when its buffer is big enough, rebuilt in
-// place, and a new instance otherwise. A new buffer holds at least nSlots
-// events, which every instance outside a Kleene closure fits, so a
-// recycled one almost always fits. Every merge takes from the list before
-// allocating, and only merged instances are put on it, so the list never
-// holds more instances than were live at once. The caller sets every other
-// field.
+// take returns an instance for a merge of n events, with an empty binding.
+// It pops the top of the free list and rebuilds it in place when its
+// buffer is big enough; a popped instance that is too small is dropped and
+// a new one allocated. A new buffer holds at least nSlots events, which
+// every instance outside a Kleene closure fits, so a recycled one almost
+// always fits. Every merge pops from a non-empty list, and only merged
+// instances are pushed on it, so the list never holds more instances than
+// were live at once. The caller sets every other field.
 func (sh *shared) take(n int) *instance {
 	nSlots := len(sh.c.prims)
 	k := len(sh.free) - 1
-	if k < 0 || len(sh.free[k].buf) < n+nSlots {
-		buf := make([]*event.Event, max(n, nSlots)+nSlots)
-		return &instance{buf: buf, events: buf[:0:n], bind: buf[len(buf)-nSlots:]}
+	if k < 0 {
+		return newMergeInstance(n, nSlots)
 	}
 	out := sh.free[k]
 	sh.free[k] = nil
 	sh.free = sh.free[:k]
 	buf := out.buf
+	if len(buf) < n+nSlots {
+		return newMergeInstance(n, nSlots)
+	}
 	clear(buf[n:])
 	*out = instance{buf: buf, events: buf[:0:n], bind: buf[len(buf)-nSlots:]}
 	return out
+}
+
+func newMergeInstance(n, nSlots int) *instance {
+	buf := make([]*event.Event, max(n, nSlots)+nSlots)
+	return &instance{buf: buf, events: buf[:0:n], bind: buf[len(buf)-nSlots:]}
 }
 
 func newPrimInstance(e *event.Event, slot int, nSlots int) *instance {

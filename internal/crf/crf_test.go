@@ -308,29 +308,3 @@ func TestEmptySequence(t *testing.T) {
 		t.Errorf("Loss(nil) = %v, %v", loss, dEm)
 	}
 }
-
-// TestMarginalIntoMatchesMarginals pins the reused-buffer path to the
-// allocating one bit for bit over sequences that grow and shrink through
-// one workspace, and checks it allocates nothing once the workspace has
-// seen the longest sequence.
-func TestMarginalIntoMatchesMarginals(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	b := NewBi(2, rng)
-	var ws Workspace
-	for _, T := range []int{1, 20, 7, 33, 2, 20} {
-		em := randEm(rng, T, 2)
-		want := b.Marginals(em)
-		for label := 0; label < 2; label++ {
-			got := b.MarginalInto(make([]float64, T), em, label, &ws)
-			for tt := range got {
-				if math.Float64bits(got[tt]) != math.Float64bits(want[tt][label]) {
-					t.Fatalf("T=%d label=%d pos %d: MarginalInto %v, Marginals %v", T, label, tt, got[tt], want[tt][label])
-				}
-			}
-		}
-	}
-	em, dst := randEm(rng, 20, 2), make([]float64, 20)
-	if a := testing.AllocsPerRun(50, func() { b.MarginalInto(dst, em, 1, &ws) }); a != 0 {
-		t.Errorf("MarginalInto allocates %v times per call with a warm workspace", a)
-	}
-}

@@ -89,15 +89,17 @@ const backlogGauge = "ramp.backlog.events"
 // LoadRamp trains the scale's event filter, calibrates the pinned exact
 // and filtered paths, then drives the same rising offered-load ramp
 // through (a) an AdaptiveProcessor governed by an adapt.Controller and
-// (b) an uncontrolled processor pinned at exact CEP.
+// (b) an uncontrolled processor pinned at exact CEP, the two in lockstep.
 //
 // Arrivals are simulated in virtual time — event i of a plateau offering R
 // events/sec arrives 1/R after event i-1 — while service times are the
-// measured wall-clock cost of each Push. The virtual queue's lag (server
-// completion time minus arrival time) and its backlog in events are the
-// overload signals; the controller ticks once per marking step at the
-// virtual completion clock, so the scenario is deterministic in shape and
-// independent of host speed, yet every latency it reacts to is real.
+// measured cost of each Push in CPU time of the pushing thread, so time the
+// host gives to other processes is not charged to the server. The virtual
+// queue's lag (server completion time minus arrival time) and its backlog
+// in events are the overload signals; the controller ticks once per marking
+// step at the virtual completion clock, so the scenario is deterministic in
+// shape and independent of host speed, yet every latency it reacts to is
+// real.
 func LoadRamp(sc Scale, opts RampOptions) (*RampReport, error) {
 	opts.defaults()
 	st := dataset.Stock(*sc.StockStream(90))
@@ -180,69 +182,78 @@ func LoadRamp(sc Scale, opts RampOptions) (*RampReport, error) {
 		FilteredWindowP99N: filteredP99.Nanoseconds(),
 	}
 
-	// Controlled traversal: the controller starts the ladder at exact and
-	// owns every move from there. QA10 matches are four-long sequences, so
-	// the recall-deficit model prices shedding with MatchEvents=4.
-	{
-		pl, err := core.NewPipeline(st.Schema, pats, cfg, net)
-		if err != nil {
-			return nil, err
-		}
-		pl.Obs = reg
-		pl.TrackKeys = true
-		board := core.NewLevelBoard(len(pats))
-		ctl, err := adapt.New(adapt.Config{
-			SLO:             slo,
-			Dwell:           1, // virtual ns: the per-tick cadence is the dwell
-			RecentIntervals: 2,
-			BacklogGauge:    backlogGauge,
-			BacklogHigh:     float64(2 * cfg.MarkSize),
-			MatchEvents:     []int{4, 4},
-		}, board, reg)
-		if err != nil {
-			return nil, err
-		}
-		gates := make([]core.Gate, len(pats))
-		for i := range gates {
-			gates[i] = shed.NewRandom(0, sc.Seed+int64(i))
-		}
-		run, res, err := rampTraverse(pl, board, gates, ctl, reg, evalStream, exactEPS, opts, cfg.StepSize)
-		if err != nil {
-			return nil, err
-		}
-		cmp := core.Compare(res, ecep)
-		run.Recall = cmp.Recall
-		run.Matches = len(res.Keys)
-		rep.Controlled = *run
-		publishQuality(reg, &CaseResult{ACEP: res, ECEP: ecep, Cmp: cmp})
+	// Controlled lane: the controller starts the ladder at exact and owns
+	// every move from there. QA10 matches are four-long sequences, so the
+	// recall-deficit model prices shedding with MatchEvents=4.
+	pl, err := core.NewPipeline(st.Schema, pats, cfg, net)
+	if err != nil {
+		return nil, err
+	}
+	pl.Obs = reg
+	pl.TrackKeys = true
+	board := core.NewLevelBoard(len(pats))
+	ctl, err := adapt.New(adapt.Config{
+		SLO:             slo,
+		Dwell:           1, // virtual ns: the per-tick cadence is the dwell
+		RecentIntervals: 2,
+		BacklogGauge:    backlogGauge,
+		BacklogHigh:     float64(2 * cfg.MarkSize),
+		MatchEvents:     []int{4, 4},
+	}, board, reg)
+	if err != nil {
+		return nil, err
+	}
+	gates := make([]core.Gate, len(pats))
+	for i := range gates {
+		gates[i] = shed.NewRandom(0, sc.Seed+int64(i))
+	}
+	controlled, err := newRampLane(pl, board, gates, ctl, reg)
+	if err != nil {
+		return nil, err
 	}
 
-	// Baseline traversal: the same ramp with no controller and the board
-	// pinned at exact — the uncontrolled configuration whose virtual queue
-	// is left to diverge. It runs on a private registry so its gauges
-	// cannot leak into the controlled run's exported snapshot.
-	{
-		pl, err := core.NewPipeline(st.Schema, pats, cfg, net)
-		if err != nil {
-			return nil, err
-		}
-		base := obs.NewRegistry()
-		pl.Obs = base
-		board := core.NewLevelBoard(len(pats))
-		board.Pin(core.LevelExact)
-		run, _, err := rampTraverse(pl, board, nil, nil, base, evalStream, exactEPS, opts, cfg.StepSize)
-		if err != nil {
-			return nil, err
-		}
-		run.Recall = 1 // the exact path is lossless by the differential guarantee
-		rep.Baseline = *run
+	// Baseline lane: the same ramp with no controller and the board pinned
+	// at exact — the uncontrolled configuration whose virtual queue is left
+	// to diverge. It runs on a private registry so its gauges cannot leak
+	// into the controlled lane's exported snapshot.
+	basePl, err := core.NewPipeline(st.Schema, pats, cfg, net)
+	if err != nil {
+		return nil, err
 	}
+	basePl.Obs = obs.NewRegistry()
+	baseBoard := core.NewLevelBoard(len(pats))
+	baseBoard.Pin(core.LevelExact)
+	baseline, err := newRampLane(basePl, baseBoard, nil, nil, basePl.Obs)
+	if err != nil {
+		return nil, err
+	}
+
+	if err := rampTraverse(controlled, baseline, evalStream, exactEPS, opts, cfg.StepSize); err != nil {
+		return nil, err
+	}
+	res, err := controlled.finish()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := baseline.finish(); err != nil {
+		return nil, err
+	}
+	cmp := core.Compare(res, ecep)
+	controlled.run.Recall = cmp.Recall
+	controlled.run.Matches = len(res.Keys)
+	rep.Controlled = *controlled.run
+	publishQuality(reg, &CaseResult{ACEP: res, ECEP: ecep, Cmp: cmp})
+	baseline.run.Recall = 1 // the exact path is lossless by the differential guarantee
+	rep.Baseline = *baseline.run
 	return rep, nil
 }
 
 // calibratePinned measures one pinned rung on the prefix: an unmeasured
-// warm-up pass, then a measured pass yielding events/sec and window p99.
+// warm-up pass, then a measured pass yielding events per CPU-second of the
+// calibrating thread and window p99.
 func calibratePinned(schema *event.Schema, pats []*pattern.Pattern, cfg core.Config, filter core.EventFilter, level core.Level, prefix *event.Stream, seed int64) (float64, time.Duration, error) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	var eps float64
 	var p99 time.Duration
 	for pass := 0; pass < 2; pass++ {
@@ -261,7 +272,7 @@ func calibratePinned(schema *event.Schema, pats []*pattern.Pattern, cfg core.Con
 			return 0, 0, err
 		}
 		runtime.GC()
-		start := time.Now()
+		start := mustThreadCPUNanos()
 		for i := range prefix.Events {
 			if _, err := proc.Push(prefix.Events[i]); err != nil {
 				return 0, 0, err
@@ -270,30 +281,118 @@ func calibratePinned(schema *event.Schema, pats []*pattern.Pattern, cfg core.Con
 		if _, err := proc.Flush(); err != nil {
 			return 0, 0, err
 		}
-		elapsed := time.Since(start)
+		elapsed := mustThreadCPUNanos() - start
 		if pass == 1 {
-			eps = float64(prefix.Len()) / elapsed.Seconds()
+			eps = float64(prefix.Len()) / (float64(elapsed) / 1e9)
 			p99 = reg.Histogram(core.MetricAdaptWindow).Quantile(0.99)
 		}
 	}
 	return eps, p99, nil
 }
 
-// rampTraverse drives one processor through the offered-load ramp in
-// virtual time. ctl may be nil (the uncontrolled baseline); the board is
-// still consulted for per-point level/ratio snapshots.
-func rampTraverse(pl *core.Pipeline, board *core.LevelBoard, gates []core.Gate, ctl *adapt.Controller, reg *obs.Registry, st *event.Stream, capacityEPS float64, opts RampOptions, tickEvery int) (*RampRun, *core.Result, error) {
+// rampLane is one configuration's traversal of the ramp: its processor,
+// its virtual clocks and the trajectory recorded so far. ctl is nil for the
+// uncontrolled baseline; the board is still consulted for per-point
+// level/ratio snapshots.
+type rampLane struct {
+	proc     *core.AdaptiveProcessor
+	board    *core.LevelBoard
+	ctl      *adapt.Controller
+	winH     *obs.Histogram
+	backlogG *obs.Gauge
+	run      *RampRun
+
+	arrivalNS, doneNS float64 // the virtual clocks
+	lastP99           int64
+	maxLevel          int
+}
+
+func newRampLane(pl *core.Pipeline, board *core.LevelBoard, gates []core.Gate, ctl *adapt.Controller, reg *obs.Registry) (*rampLane, error) {
 	proc, err := pl.NewAdaptiveProcessor(board, gates)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	run := &RampRun{Adaptive: ctl != nil}
-	winH := reg.Histogram(core.MetricAdaptWindow)
-	backlogG := reg.Gauge(backlogGauge)
+	return &rampLane{
+		proc:     proc,
+		board:    board,
+		ctl:      ctl,
+		winH:     reg.Histogram(core.MetricAdaptWindow),
+		backlogG: reg.Gauge(backlogGauge),
+		run:      &RampRun{Adaptive: ctl != nil},
+		maxLevel: int(board.MaxLevel()),
+	}, nil
+}
 
-	var arrivalNS, doneNS float64 // the virtual clocks
-	var lastP99 int64
-	maxLevel := int(board.MaxLevel())
+// push offers event e at the plateau's rate and charges its measured
+// service time to the lane's virtual server; tick says whether a marking
+// step ends with it.
+func (l *rampLane) push(e event.Event, gapNS, offered float64, tick bool) error {
+	l.arrivalNS += gapNS
+	if l.doneNS < l.arrivalNS {
+		l.doneNS = l.arrivalNS // the server was idle, waiting
+	}
+	start := mustThreadCPUNanos()
+	if _, err := l.proc.Push(e); err != nil {
+		return err
+	}
+	l.doneNS += float64(mustThreadCPUNanos() - start)
+	if !tick {
+		return nil
+	}
+	l.backlogG.Set((l.doneNS - l.arrivalNS) * offered / 1e9)
+	if l.ctl != nil {
+		l.ctl.Tick(time.Unix(0, int64(l.doneNS)))
+		l.lastP99 = l.ctl.Status().RecentP99NS
+	} else {
+		l.lastP99 = l.winH.RecentQuantile(0.99, 2).Nanoseconds()
+		l.winH.Roll()
+	}
+	l.maxLevel = max(l.maxLevel, int(l.board.MaxLevel()))
+	return nil
+}
+
+// endStep records the plateau just finished.
+func (l *rampLane) endStep(step, n int, offered float64) {
+	lag := int64(l.doneNS - l.arrivalNS)
+	levels := make([]int, l.board.Patterns())
+	for i, lv := range l.board.Levels() {
+		levels[i] = int(lv)
+	}
+	l.run.Points = append(l.run.Points, RampPoint{
+		Step:          step,
+		OfferedEPS:    offered,
+		Events:        n,
+		RecentP99NS:   l.lastP99,
+		LagNS:         lag,
+		BacklogEvents: float64(lag) * offered / 1e9,
+		Levels:        levels,
+		ShedRatios:    l.board.ShedRatios(),
+	})
+}
+
+// finish flushes the lane's processor and closes its trajectory.
+func (l *rampLane) finish() (*core.Result, error) {
+	if _, err := l.proc.Flush(); err != nil {
+		return nil, err
+	}
+	last := l.run.Points[len(l.run.Points)-1]
+	l.run.MaxLevel = l.maxLevel
+	l.run.FinalRecentP99NS = last.RecentP99NS
+	l.run.FinalLagNS = last.LagNS
+	l.run.FinalBacklogEvents = last.BacklogEvents
+	return l.proc.Result(), nil
+}
+
+// rampTraverse drives both lanes through the offered-load ramp in virtual
+// time, in lockstep: each event is pushed to one lane and then to the
+// other, the order alternating from event to event. Each lane keeps its
+// own clocks, so the lanes do not interact, but a stretch of slow host
+// (another process, a GC cycle, a frequency change) lands on both rather
+// than on whichever traversal happened to be running, and the comparison
+// between them is paired event by event.
+func rampTraverse(a, b *rampLane, st *event.Stream, capacityEPS float64, opts RampOptions, tickEvery int) error {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	perStep := st.Len() / opts.Steps
 	runtime.GC()
 	pos := 0
@@ -309,56 +408,23 @@ func rampTraverse(pl *core.Pipeline, board *core.LevelBoard, gates []core.Gate, 
 			n = st.Len() - pos // the last plateau absorbs the remainder
 		}
 		for i := 0; i < n; i++ {
-			arrivalNS += gapNS
-			if doneNS < arrivalNS {
-				doneNS = arrivalNS // the server was idle, waiting
+			tick := (pos+1)%tickEvery == 0
+			first, second := a, b
+			if pos%2 == 1 {
+				first, second = b, a
 			}
-			start := time.Now()
-			if _, err := proc.Push(st.Events[pos]); err != nil {
-				return nil, nil, err
+			if err := first.push(st.Events[pos], gapNS, offered, tick); err != nil {
+				return err
 			}
-			doneNS += float64(time.Since(start).Nanoseconds())
+			if err := second.push(st.Events[pos], gapNS, offered, tick); err != nil {
+				return err
+			}
 			pos++
-			if pos%tickEvery == 0 {
-				backlog := (doneNS - arrivalNS) * offered / 1e9
-				backlogG.Set(backlog)
-				if ctl != nil {
-					ctl.Tick(time.Unix(0, int64(doneNS)))
-					lastP99 = ctl.Status().RecentP99NS
-				} else {
-					lastP99 = winH.RecentQuantile(0.99, 2).Nanoseconds()
-					winH.Roll()
-				}
-				if lv := int(board.MaxLevel()); lv > maxLevel {
-					maxLevel = lv
-				}
-			}
 		}
-		lag := int64(doneNS - arrivalNS)
-		levels := make([]int, board.Patterns())
-		for i, l := range board.Levels() {
-			levels[i] = int(l)
-		}
-		run.Points = append(run.Points, RampPoint{
-			Step:          s,
-			OfferedEPS:    offered,
-			Events:        n,
-			RecentP99NS:   lastP99,
-			LagNS:         lag,
-			BacklogEvents: float64(lag) * offered / 1e9,
-			Levels:        levels,
-			ShedRatios:    board.ShedRatios(),
-		})
+		a.endStep(s, n, offered)
+		b.endStep(s, n, offered)
 	}
-	if _, err := proc.Flush(); err != nil {
-		return nil, nil, err
-	}
-	last := run.Points[len(run.Points)-1]
-	run.MaxLevel = maxLevel
-	run.FinalRecentP99NS = last.RecentP99NS
-	run.FinalLagNS = last.LagNS
-	run.FinalBacklogEvents = last.BacklogEvents
-	return run, proc.Result(), nil
+	return nil
 }
 
 // Rows renders both trajectories for the text report.

@@ -166,6 +166,9 @@ func (s *Server) Serve(l net.Listener) error {
 			s.wg.Wait()
 			return net.ErrClosed
 		}
+		// The generation is fixed at accept time, before the connection
+		// counts as active: a swap after that point leaves it on this one.
+		gen := s.factory.Load()
 		s.conns[conn] = true
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -177,7 +180,7 @@ func (s *Server) Serve(l net.Listener) error {
 				s.mu.Unlock()
 				conn.Close()
 			}()
-			if err := s.handle(conn); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			if err := s.handle(conn, gen); err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.Log("server: connection %v: %v", conn.RemoteAddr(), err)
 			}
 		}()
@@ -219,17 +222,16 @@ type wireOut struct {
 	Error   string      `json:"error,omitempty"`
 }
 
-func (s *Server) handle(conn net.Conn) error {
+func (s *Server) handle(conn net.Conn, gen *filterFactory) error {
 	if s.Shards > 1 {
-		return s.handleSharded(conn)
+		return s.handleSharded(conn, gen)
 	}
 	s.Obs.Counter("server.connections.total").Inc()
 	activeG := s.Obs.Gauge("server.connections.active")
 	activeG.Add(1)
 	defer activeG.Add(-1)
 	eventsC := s.Obs.Counter("server.events.total")
-	// One factory load per connection: the generation this stream runs on.
-	filter, err := s.factory.Load().fn()
+	filter, err := gen.fn()
 	if err != nil {
 		return err
 	}
@@ -338,13 +340,13 @@ func (s *Server) handle(conn net.Conn) error {
 // Matches arrive on the merge goroutine (shard.Options.OnMatch) while this
 // goroutine keeps parsing, so client writes synchronize on a mutex — the
 // only lock in shard mode, and off the marking hot path entirely.
-func (s *Server) handleSharded(conn net.Conn) error {
+func (s *Server) handleSharded(conn net.Conn, gen *filterFactory) error {
 	s.Obs.Counter("server.connections.total").Inc()
 	activeG := s.Obs.Gauge("server.connections.active")
 	activeG.Add(1)
 	defer activeG.Add(-1)
 	eventsC := s.Obs.Counter("server.events.total")
-	filter, err := s.factory.Load().fn()
+	filter, err := gen.fn()
 	if err != nil {
 		return err
 	}
