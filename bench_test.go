@@ -573,48 +573,6 @@ func BenchmarkIncrementalProcessor(b *testing.B) {
 	b.ReportMetric(float64(eval.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkPipelineParallel sweeps the pipeline worker bound on a
-// fixed-seed multi-pattern workload with a real BiLSTM filter, so both
-// parallel axes (window marking, per-pattern engines) are exercised. On
-// multi-core hardware P>1 shows the speedup; the emitted match-key set is
-// identical at every level (see TestParallelRunEquivalence).
-func BenchmarkPipelineParallel(b *testing.B) {
-	st, _ := benchStreams()
-	pats := []*pattern.Pattern{
-		queries.QA1(benchW, 4, 7, []int{1, 2, 3}, 0.8, 1.2),
-		queries.QA1(benchW, 4, 7, []int{1, 2}, 0.7, 1.3),
-		queries.QA2(benchW, 7),
-	}
-	cfg := core.Config{MarkSize: 2 * benchW, StepSize: benchW, Hidden: 16, Layers: 1, Seed: 1}
-	net, err := core.NewEventNetwork(st.Schema, pats, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eval := st.Slice(st.Len()*85/100, st.Len())
-	net.Emb.Fit(eval)
-	net.Threshold = 0.45 // untrained net: keep enough events to load the engines
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", par), func(b *testing.B) {
-			cfg.Parallelism = par
-			pl, err := core.NewPipeline(st.Schema, pats, cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res *core.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = pl.Run(eval)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(eval.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(float64(len(res.Keys)), "matches")
-		})
-	}
-}
-
 func BenchmarkMultiPatternShared(b *testing.B) {
 	st, _ := benchStreams()
 	pats := []*pattern.Pattern{

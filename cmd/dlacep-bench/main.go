@@ -27,7 +27,6 @@ func main() {
 	fig := flag.String("fig", "all", "figure to reproduce: 8, 9, 10, 11, 12, 13, 14, ablations, or all")
 	scaleName := flag.String("scale", "quick", "experiment scale: smoke, quick, or paper")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	parallel := flag.Int("parallel", 0, "pipeline worker bound for every experiment; 0 or 1 keeps the paper's single-core semantics")
 	shards := flag.Int("shards", 0, "run DLACEP measurement passes through the key-sharded pipeline with this many marking workers; 0 or 1 sequential")
 	shardBatch := flag.Int("shard-batch", 1, "windows batched per filter call in -shards mode (K)")
 	metricsOut := flag.String("metrics-out", "", "write the cumulative JSON telemetry snapshot to this file after all figures")
@@ -51,7 +50,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (smoke|quick|paper)\n", *scaleName)
 		os.Exit(2)
 	}
-	sc.Parallelism = *parallel
 	sc.Shards = *shards
 	sc.ShardBatch = *shardBatch
 	if *metricsOut != "" {

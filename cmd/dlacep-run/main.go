@@ -30,9 +30,8 @@ func main() {
 	dataPath := flag.String("data", "", "stream CSV to evaluate")
 	compare := flag.Bool("compare", false, "also run exact CEP and report recall / gain")
 	printMatches := flag.Int("print", 5, "print up to this many matches")
-	parallel := flag.Int("parallel", 0, "pipeline worker bound: 0 or 1 sequential, N>1 marks windows and runs pattern engines concurrently")
 	metricsOut := flag.String("metrics-out", "", "write a JSON telemetry snapshot (stage timings, relay/drop counters) to this file")
-	traceOut := flag.String("trace-out", "", "write sampled per-window pipeline traces (JSON Lines) to this file; analyze with dlacep-inspect -trace (sequential mode only: -parallel > 1 uses the untraced batch path)")
+	traceOut := flag.String("trace-out", "", "write sampled per-window pipeline traces (JSON Lines) to this file; analyze with dlacep-inspect -trace")
 	traceEvery := flag.Int("trace-every", 64, "with -trace-out: sample one window trace per this many events")
 	flag.Parse()
 	if *dataPath == "" {
@@ -72,7 +71,6 @@ func main() {
 	default:
 		cfg = core.DefaultConfig(w)
 	}
-	cfg.Parallelism = *parallel
 	pl, err := core.NewPipeline(schema, pats, cfg, filter)
 	if err != nil {
 		fatal(err)
@@ -105,7 +103,7 @@ func main() {
 	}
 
 	if *compare {
-		ecep, err := core.RunECEPObserved(schema, pats, st, cfg.Workers(), reg)
+		ecep, err := core.RunECEPObserved(schema, pats, st, reg)
 		if err != nil {
 			fatal(err)
 		}

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -48,7 +49,6 @@ func fatal(err error) {
 type serveOpts struct {
 	modelPath  string
 	listen     string
-	parallel   int
 	shards     int
 	shardBatch int
 	admin      string
@@ -73,7 +73,6 @@ func main() {
 	flag.StringVar(&o.listen, "listen", "", "address to serve on, e.g. :7878")
 	connect := flag.String("connect", "", "server address to stream to (client mode)")
 	dataPath := flag.String("data", "", "stream CSV to send (client mode)")
-	flag.IntVar(&o.parallel, "parallel", 0, "per-connection pipeline worker bound (server mode); 0 or 1 sequential")
 	flag.IntVar(&o.shards, "shards", 0, "key-sharded serving: marking workers per connection, events hash-partitioned by type; 0 or 1 sequential")
 	flag.IntVar(&o.shardBatch, "shard-batch", 1, "windows batched per filter call in -shards mode (K)")
 	flag.StringVar(&o.admin, "admin", "", "admin HTTP address for /metrics and /healthz, e.g. 127.0.0.1:7879 (server mode)")
@@ -217,7 +216,6 @@ func fileServer(o serveOpts) (*server.Server, error) {
 	default:
 		cfg = core.DefaultConfig(int(pats[0].Window.Size))
 	}
-	cfg.Parallelism = o.parallel
 	srv, err := server.New(schema, pats, cfg, func() (core.EventFilter, error) {
 		f, _, _, err := core.LoadModel(bytes.NewReader(raw))
 		return f, err
@@ -260,9 +258,7 @@ func registryServer(o serveOpts) (*server.Server, *lifecycle.Controller, error) 
 	if !ok {
 		return nil, nil, fmt.Errorf("registry serving needs an event-network model, %s v%d is %T", o.family, version, filter)
 	}
-	cfg := live.Cfg
-	cfg.Parallelism = o.parallel
-	srv, err := server.New(schema, pats, cfg, func() (core.EventFilter, error) {
+	srv, err := server.New(schema, pats, live.Cfg, func() (core.EventFilter, error) {
 		return live.CloneFilter(), nil
 	})
 	if err != nil {
@@ -281,7 +277,7 @@ func registryServer(o serveOpts) (*server.Server, *lifecycle.Controller, error) 
 		Family:          o.family,
 		Schema:          schema,
 		Patterns:        pats,
-		Core:            live.Cfg, // retraining builds sequential candidates
+		Core:            live.Cfg,
 		Live:            live,
 		LiveVersion:     version,
 		Swap:            srv.SwapFilter,
@@ -318,28 +314,43 @@ func runClient(addr, dataPath string) {
 		fatal(err)
 	}
 	defer c.Close()
-	for i := range st.Events {
-		if err := c.Send(st.Events[i]); err != nil {
-			fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
+	if err := stream(c, st.Events, os.Stdout); err != nil {
 		fatal(err)
 	}
+}
+
+// stream sends events and FLUSH while it prints the server's matches and
+// summary to out. Sending runs in its own goroutine: the server writes
+// matches while it still reads events, so a client that sent everything
+// before its first read would deadlock once both directions' socket
+// buffers filled. On success stream returns after the sender has finished;
+// on an error it returns at once, and closing the connection ends the
+// sender.
+func stream(c *server.Client, events []event.Event, out io.Writer) error {
+	sent := make(chan error, 1)
+	go func() {
+		for i := range events {
+			if err := c.Send(events[i]); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- c.Flush()
+	}()
 	for {
-		msg, err := c.Recv()
+		msg, err := c.Read()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		switch {
 		case msg.Err != "":
-			fatal(fmt.Errorf("server: %s", msg.Err))
+			return fmt.Errorf("server: %s", msg.Err)
 		case msg.Match != nil:
-			fmt.Printf("match: %v\n", msg.Match.IDs)
+			fmt.Fprintf(out, "match: %v\n", msg.Match.IDs)
 		case msg.Summary != nil:
-			fmt.Printf("summary: %d events, %d matches, filter ratio %.3f, %.0f events/s\n",
+			fmt.Fprintf(out, "summary: %d events, %d matches, filter ratio %.3f, %.0f events/s\n",
 				msg.Summary.Events, msg.Summary.Matches, msg.Summary.FilterRatio, msg.Summary.ThroughputS)
-			return
+			return <-sent
 		}
 	}
 }

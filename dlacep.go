@@ -132,10 +132,8 @@ var (
 	NewWindowNetwork = core.NewWindowNetwork
 	// NewPipeline wires a filter into the DLACEP pipeline.
 	NewPipeline = core.NewPipeline
-	// RunECEP measures the exact baseline on a stream; RunECEPParallel
-	// fans the patterns out over a bounded worker pool.
-	RunECEP         = core.RunECEP
-	RunECEPParallel = core.RunECEPParallel
+	// RunECEP measures the exact baseline on a stream.
+	RunECEP = core.RunECEP
 	// Compare computes recall/F1/gain of an approximate run vs exact.
 	Compare = core.Compare
 	// DefaultTrainOptions returns a CPU-scale training schedule.

@@ -2,8 +2,8 @@
 // DLACEP tree, built only on the standard library (go/parser, go/types,
 // go/importer — no golang.org/x/tools). It exists because the paper's
 // headline claims rest on invariants that `go vet` does not check:
-// bit-reproducible seeded runs, parallelism-independent match-key sets,
-// and leak-free fan-out under Config.Parallelism. Each Analyzer guards
+// bit-reproducible seeded runs, deterministic match-key sets, and
+// leak-free fan-out in the sharded pipeline and the server. Each Analyzer guards
 // one such invariant; cmd/dlacep-vet drives them over the module.
 //
 // Suppression: a finding may be silenced with a directive comment

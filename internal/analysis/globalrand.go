@@ -7,10 +7,11 @@ import (
 
 // GlobalRand reports calls to the process-global math/rand top-level
 // functions and to time.Now inside the deterministic packages. DLACEP's
-// differential-equivalence suite asserts that a seeded run produces the
-// same match-key set at every Config.Parallelism; a single rand.Intn
-// (which draws from the shared global source) or time.Now-derived value
-// on the data path breaks that bit-reproducibility. Randomness must be
+// differential suites assert that seeded runs reproduce the same match-key
+// set across execution paths (Processor, RunWindows, the sharded
+// pipeline); a single rand.Intn (which draws from the shared global
+// source) or time.Now-derived value on the data path breaks that
+// bit-reproducibility. Randomness must be
 // injected as *rand.Rand (method calls are fine); wall-clock timing
 // belongs to the sanctioned timing layers — internal/metrics (stopwatches),
 // internal/obs (spans/histograms), and the harness — which the scope list

@@ -6,12 +6,12 @@ import (
 )
 
 // RawGoroutine reports `go` statements in library packages whose
-// enclosing function shows no sign of joining the goroutine. Under
-// Config.Parallelism the pipeline fans out per window and per pattern; a
-// goroutine with no WaitGroup.Wait, channel receive, or select in its
-// spawning function outlives the call, leaks under load, and — worse for
-// DLACEP — can publish marks after the deterministic merge has already
-// run. Join evidence is searched in the spawning function only, outside
+// enclosing function shows no sign of joining the goroutine. The sharded
+// pipeline fans marking out over shard workers and the server spawns one
+// goroutine per connection; a goroutine with no WaitGroup.Wait, channel
+// receive, or select in its spawning function outlives the call, leaks
+// under load, and — worse for DLACEP — can publish marks after the
+// deterministic merge has already run. Join evidence is searched in the spawning function only, outside
 // the goroutine bodies themselves.
 var RawGoroutine = &Analyzer{
 	Name:      "rawgoroutine",

@@ -73,7 +73,7 @@ func shedReference(t *testing.T, pats []*pattern.Pattern, relayStream []event.Ev
 // stream the pipeline produced, via the OnRelay tap.
 func captureRelays(t *testing.T, filter EventFilter, st *event.Stream) []event.Event {
 	t.Helper()
-	pl := parallelPipeline(t, filter, 1)
+	pl := multiPipeline(t, filter)
 	var relays []event.Event
 	pl.OnRelay = func(batch []event.Event) { relays = append(relays, batch...) }
 	if _, err := pl.Run(st); err != nil {
@@ -92,7 +92,7 @@ func adaptiveGates(n int, ratio float64, seed int64) []Gate {
 
 func TestAdaptivePinnedExactMatchesECEP(t *testing.T) {
 	st := dataset.Synthetic(600, 4, 31)
-	pl := parallelPipeline(t, hashFilter{salt: 5}, 1)
+	pl := multiPipeline(t, hashFilter{salt: 5})
 	pl.TrackKeys = true
 	board := NewLevelBoard(3)
 	board.Pin(LevelExact)
@@ -116,12 +116,12 @@ func TestAdaptivePinnedExactMatchesECEP(t *testing.T) {
 func TestAdaptivePinnedFilteredMatchesProcessor(t *testing.T) {
 	st := dataset.Synthetic(600, 4, 32)
 	filter := hashFilter{salt: 9}
-	pl := parallelPipeline(t, filter, 1)
+	pl := multiPipeline(t, filter)
 	pl.TrackKeys = true
 	board := NewLevelBoard(3) // NewLevelBoard starts at LevelFiltered
 	res, _ := runAdaptive(t, pl, board, nil, st)
 
-	ref := parallelPipeline(t, filter, 1)
+	ref := multiPipeline(t, filter)
 	ref.TrackKeys = true
 	want, err := ref.Run(st)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestAdaptivePinnedShedMatchesStaticShed(t *testing.T) {
 	)
 	st := dataset.Synthetic(600, 4, 33)
 	filter := hashFilter{salt: 3}
-	pl := parallelPipeline(t, filter, 1)
+	pl := multiPipeline(t, filter)
 	pl.TrackKeys = true
 	board := NewLevelBoard(3)
 	board.Pin(LevelShed)
@@ -173,7 +173,7 @@ func TestAdaptiveMixedLevelsIndependent(t *testing.T) {
 	)
 	st := dataset.Synthetic(600, 4, 34)
 	filter := hashFilter{salt: 11}
-	pl := parallelPipeline(t, filter, 1)
+	pl := multiPipeline(t, filter)
 	pl.TrackKeys = true
 	board := NewLevelBoard(3)
 	board.SetLevel(0, LevelExact)
@@ -190,7 +190,7 @@ func TestAdaptiveMixedLevelsIndependent(t *testing.T) {
 		t.Error("exact-rung pattern differs from its ECEP reference")
 	}
 
-	ref := parallelPipeline(t, filter, 1)
+	ref := multiPipeline(t, filter)
 	ref.TrackKeys = true
 	filtered, err := ref.Run(st)
 	if err != nil {
@@ -260,7 +260,7 @@ func FuzzAdaptiveEquivalence(f *testing.F) {
 		st := dataset.Synthetic(length, 4, seed)
 		filter := hashFilter{salt: salt}
 
-		pl := parallelPipeline(t, filter, 1)
+		pl := multiPipeline(t, filter)
 		pl.TrackKeys = true
 		board := NewLevelBoard(3)
 		board.Pin(level)
@@ -278,7 +278,7 @@ func FuzzAdaptiveEquivalence(f *testing.F) {
 			}
 			want = ecep.KeysByPattern
 		case LevelFiltered:
-			ref := parallelPipeline(t, filter, 1)
+			ref := multiPipeline(t, filter)
 			ref.TrackKeys = true
 			run, err := ref.Run(st)
 			if err != nil {

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"dlacep/internal/nn"
 	"dlacep/internal/pattern"
@@ -36,28 +35,12 @@ type Config struct {
 	Arch string
 	// Seed drives all weight initialization and shuffling.
 	Seed int64
-	// Parallelism bounds the worker count of the parallel execution layer:
-	// filter windows are marked by up to Parallelism concurrent filter
-	// clones, and relayed batches fan out to one goroutine per CEP engine.
-	// 0 or 1 runs fully sequentially (the zero value preserves the original
-	// single-threaded pipeline); DefaultConfig sets runtime.GOMAXPROCS(0).
-	// The emitted match-key set is identical at every parallelism level.
-	Parallelism int
 }
 
 // DefaultConfig returns the paper's configuration for window size w, scaled
 // hidden size optional via the Hidden/Layers fields afterwards.
 func DefaultConfig(w int) Config {
-	return Config{MarkSize: 2 * w, StepSize: w, Hidden: 75, Layers: 3, Seed: 1,
-		Parallelism: runtime.GOMAXPROCS(0)}
-}
-
-// Workers returns the effective worker count: Parallelism, floored at 1.
-func (c Config) Workers() int {
-	if c.Parallelism <= 1 {
-		return 1
-	}
-	return c.Parallelism
+	return Config{MarkSize: 2 * w, StepSize: w, Hidden: 75, Layers: 3, Seed: 1}
 }
 
 // Validate checks the legality constraints of Section 4.2 against the
@@ -78,9 +61,6 @@ func (c Config) Validate(w int) error {
 	}
 	if c.Hidden <= 0 || c.Layers <= 0 {
 		return fmt.Errorf("core: invalid network shape hidden=%d layers=%d", c.Hidden, c.Layers)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("core: negative Parallelism %d", c.Parallelism)
 	}
 	switch c.Arch {
 	case "", "bilstm", "tcn":

@@ -26,6 +26,24 @@ type BatchMarker interface {
 	MarkBatch(windows [][]event.Event) [][]bool
 }
 
+// CloneableFilter is an EventFilter that can produce independent clones for
+// concurrent marking (one per shard worker or server connection). Clones
+// share read-only trained state (weights, normalization statistics) but own
+// any per-inference scratch buffers. Filters that are already safe for
+// concurrent use return themselves. CloneFilter may return nil when cloning
+// is unavailable (e.g. an adapter over a non-cloneable inner filter).
+type CloneableFilter interface {
+	EventFilter
+	CloneFilter() EventFilter
+}
+
+// CloneableWindowFilter is the WindowFilter analogue, used by WindowToEvent
+// to clone through the adapter.
+type CloneableWindowFilter interface {
+	WindowFilter
+	CloneWindowFilter() WindowFilter
+}
+
 // WindowFilter classifies whole windows as applicable (containing at least
 // one full match) or not — the coarse-grained variant of Section 4.3.
 type WindowFilter interface {
@@ -53,7 +71,7 @@ func (w WindowToEvent) Mark(window []event.Event) []bool {
 }
 
 // CloneFilter clones through the adapter when the inner window filter is
-// cloneable, and returns nil (marking stays sequential) otherwise.
+// cloneable, and returns nil otherwise.
 func (w WindowToEvent) CloneFilter() EventFilter {
 	if cf, ok := w.F.(CloneableWindowFilter); ok {
 		return WindowToEvent{F: cf.CloneWindowFilter()}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -9,12 +8,12 @@ import (
 	"dlacep/internal/obs"
 )
 
-// observedRun executes one seeded parallel pipeline run against a fresh
-// registry and returns the snapshot.
-func observedRun(t *testing.T, seed int64, par int) *obs.Snapshot {
+// observedRun executes one seeded pipeline run against a fresh registry and
+// returns the snapshot.
+func observedRun(t *testing.T, seed int64) *obs.Snapshot {
 	t.Helper()
 	st := dataset.Synthetic(160, 4, seed)
-	pl := parallelPipeline(t, hashFilter{salt: uint64(seed)}, par)
+	pl := multiPipeline(t, hashFilter{salt: uint64(seed)})
 	reg := obs.NewRegistry()
 	pl.Obs = reg
 	if _, err := pl.Run(st); err != nil {
@@ -24,13 +23,13 @@ func observedRun(t *testing.T, seed int64, par int) *obs.Snapshot {
 }
 
 // TestObservedRunDeterministic runs the same seeded stream twice through an
-// instrumented parallel pipeline and requires every non-timing metric —
+// instrumented pipeline and requires every non-timing metric —
 // counters and gauges — to agree exactly. Timing histograms (the `_ns`
 // names) are clock-dependent and excluded, but their observation counts
 // must still match: the same windows and batches are measured either way.
 func TestObservedRunDeterministic(t *testing.T) {
-	a := observedRun(t, 42, 8)
-	b := observedRun(t, 42, 8)
+	a := observedRun(t, 42)
+	b := observedRun(t, 42)
 
 	if len(a.Counters) == 0 {
 		t.Fatal("instrumented run produced no counters")
@@ -50,12 +49,8 @@ func TestObservedRunDeterministic(t *testing.T) {
 			len(a.Counters), len(b.Counters), len(a.Gauges), len(b.Gauges))
 	}
 	// Per-window histograms must record the same number of observations even
-	// though the observed durations differ. Per-worker mark histograms are
-	// excluded: the job pool hands windows to whichever clone is free.
+	// though the observed durations differ.
 	for name, ah := range a.Histograms {
-		if strings.HasPrefix(name, "pipeline.worker.") {
-			continue
-		}
 		if bh, ok := b.Histograms[name]; !ok || bh.Count != ah.Count {
 			t.Errorf("histogram %s: count %d vs %d", name, ah.Count, bh.Count)
 		}
@@ -68,7 +63,7 @@ func TestObservedRunDeterministic(t *testing.T) {
 // the Result fields.
 func TestObservedCountersConsistent(t *testing.T) {
 	st := dataset.Synthetic(200, 4, 7)
-	pl := parallelPipeline(t, hashFilter{salt: 3}, 4)
+	pl := multiPipeline(t, hashFilter{salt: 3})
 	reg := obs.NewRegistry()
 	pl.Obs = reg
 	res, err := pl.Run(st)
@@ -103,21 +98,20 @@ func TestObservedCountersConsistent(t *testing.T) {
 }
 
 // TestProcessorCountersMatchBatch feeds the same stream through the
-// incremental Processor and the batch Pipeline.Run and requires the
-// relay/drop accounting to agree: the eviction-time definitive-drop scan
-// must reproduce the batch path's end-of-run subtraction.
+// incremental Processor and through RunWindows over the Processor's window
+// geometry and requires the relay/drop accounting to agree: the
+// eviction-time definitive-drop scan must reproduce the batch path's
+// end-of-run subtraction.
 func TestProcessorCountersMatchBatch(t *testing.T) {
 	st := dataset.Synthetic(180, 4, 11)
 
 	batchReg := obs.NewRegistry()
-	pl := parallelPipeline(t, hashFilter{salt: 5}, 1)
+	pl := multiPipeline(t, hashFilter{salt: 5})
 	pl.Obs = batchReg
-	if _, err := pl.Run(st); err != nil {
-		t.Fatal(err)
-	}
+	windowsRun(t, pl, st)
 
 	procReg := obs.NewRegistry()
-	pl2 := parallelPipeline(t, hashFilter{salt: 5}, 1)
+	pl2 := multiPipeline(t, hashFilter{salt: 5})
 	pl2.Obs = procReg
 	proc, err := pl2.NewProcessor()
 	if err != nil {
@@ -135,10 +129,14 @@ func TestProcessorCountersMatchBatch(t *testing.T) {
 	bs, ps := batchReg.Snapshot(), procReg.Snapshot()
 	for _, name := range []string{
 		"pipeline.events.in", "pipeline.events.relayed", "pipeline.events.dropped",
+		"filter.windows.relayed", "filter.windows.dropped",
 	} {
 		if bs.Counters[name] != ps.Counters[name] {
 			t.Errorf("%s: batch %d vs processor %d", name, bs.Counters[name], ps.Counters[name])
 		}
+	}
+	if b, p := bs.Histograms["pipeline.filter.window_ns"].Count, ps.Histograms["pipeline.filter.window_ns"].Count; b != p || b == 0 {
+		t.Errorf("marked windows: batch %d vs processor %d", b, p)
 	}
 	if g := ps.Gauges["pipeline.pending.depth"]; g != 0 {
 		t.Errorf("pending depth after Flush = %v, want 0", g)
@@ -151,8 +149,8 @@ func TestProcessorCountersMatchBatch(t *testing.T) {
 // clock was recorded.
 func TestUnobservedRunUnchanged(t *testing.T) {
 	st := dataset.Synthetic(150, 4, 21)
-	plain := parallelPipeline(t, hashFilter{salt: 9}, 2)
-	obsd := parallelPipeline(t, hashFilter{salt: 9}, 2)
+	plain := multiPipeline(t, hashFilter{salt: 9})
+	obsd := multiPipeline(t, hashFilter{salt: 9})
 	obsd.Obs = obs.NewRegistry()
 	r1, err := plain.Run(st)
 	if err != nil {

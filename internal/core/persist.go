@@ -37,11 +37,21 @@ type savedParam struct {
 	Data []float64 `json:"data"`
 }
 
+// savedConfig is Config as it is encoded in a model file. Parallelism is a
+// legacy field: models saved while the pipeline had an in-process worker
+// bound carry it, and the v2 checksum covers the encoded config, so
+// dropping the field would make every such file fail its checksum on load.
+// It is written as 0 and ignored on load.
+type savedConfig struct {
+	Config
+	Parallelism int
+}
+
 type savedModel struct {
 	Format    int          `json:"format,omitempty"`
 	Checksum  string       `json:"sha256,omitempty"`
 	Kind      string       `json:"kind"` // "event" or "window"
-	Config    Config       `json:"config"`
+	Config    savedConfig  `json:"config"`
 	Patterns  []string     `json:"patterns"`
 	Schema    []string     `json:"schema"`
 	Embedder  embed.State  `json:"embedder"`
@@ -154,7 +164,7 @@ func renderPatterns(pats []*pattern.Pattern) []string {
 func (n *EventNetwork) Save(w io.Writer, pats []*pattern.Pattern) error {
 	m := savedModel{
 		Kind:      "event",
-		Config:    n.Cfg,
+		Config:    savedConfig{Config: n.Cfg},
 		Patterns:  renderPatterns(pats),
 		Schema:    n.schema.Names(),
 		Embedder:  n.Emb.State(),
@@ -168,7 +178,7 @@ func (n *EventNetwork) Save(w io.Writer, pats []*pattern.Pattern) error {
 func (n *WindowNetwork) Save(w io.Writer, pats []*pattern.Pattern) error {
 	m := savedModel{
 		Kind:      "window",
-		Config:    n.Cfg,
+		Config:    savedConfig{Config: n.Cfg},
 		Patterns:  renderPatterns(pats),
 		Schema:    n.schema.Names(),
 		Embedder:  n.Emb.State(),
@@ -198,7 +208,7 @@ func LoadModel(r io.Reader) (EventFilter, []*pattern.Pattern, *event.Schema, err
 	}
 	switch m.Kind {
 	case "event":
-		n, err := NewEventNetwork(schema, pats, m.Config)
+		n, err := NewEventNetwork(schema, pats, m.Config.Config)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -209,7 +219,7 @@ func LoadModel(r io.Reader) (EventFilter, []*pattern.Pattern, *event.Schema, err
 		n.Threshold = m.Threshold
 		return n, pats, schema, nil
 	case "window":
-		n, err := NewWindowNetwork(schema, pats, m.Config)
+		n, err := NewWindowNetwork(schema, pats, m.Config.Config)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -258,7 +268,7 @@ func InspectModel(r io.Reader) (ModelInfo, error) {
 		Kind:      m.Kind,
 		Format:    m.Format,
 		Checksum:  m.Checksum,
-		Config:    m.Config,
+		Config:    m.Config.Config,
 		Patterns:  append([]string(nil), m.Patterns...),
 		Schema:    append([]string(nil), m.Schema...),
 		Threshold: m.Threshold,

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -208,5 +209,57 @@ func TestInspectModel(t *testing.T) {
 	tampered := mutateModelJSON(t, buf.Bytes(), func(m map[string]any) { m["threshold"] = 0.9 })
 	if _, err := InspectModel(bytes.NewReader(tampered)); err == nil {
 		t.Error("tampered model inspected without error")
+	}
+}
+
+// TestLoadLegacyParallelismModel loads a v2 model saved when Config still
+// carried a Parallelism worker bound (here 4). Its checksum covers the
+// encoded config, so it loads only because savedConfig keeps the field;
+// the value is ignored, and a fresh save encodes the config with the same
+// keys in the same order, the legacy field written as 0.
+func TestLoadLegacyParallelismModel(t *testing.T) {
+	raw, err := os.ReadFile("testdata/model_legacy_parallelism.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, pats, schema, err := LoadModel(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, ok := f.(*EventNetwork)
+	if !ok {
+		t.Fatalf("loaded %T, want *EventNetwork", f)
+	}
+	want := Config{MarkSize: 8, StepSize: 4, Hidden: 2, Layers: 1, Seed: 3}
+	if net.Cfg != want {
+		t.Errorf("Cfg = %+v, want %+v", net.Cfg, want)
+	}
+	if len(pats) != 1 || strings.Join(schema.Names(), ",") != "vol" {
+		t.Errorf("got %d patterns, schema %v", len(pats), schema.Names())
+	}
+	info, err := InspectModel(bytes.NewReader(raw))
+	if err != nil || info.Config != want {
+		t.Errorf("InspectModel: %+v, %v", info.Config, err)
+	}
+
+	var saved bytes.Buffer
+	if err := net.Save(&saved, pats); err != nil {
+		t.Fatal(err)
+	}
+	config := func(b []byte) string {
+		var m struct {
+			Config json.RawMessage `json:"config"`
+		}
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return string(m.Config)
+	}
+	old, fresh := config(raw), config(saved.Bytes())
+	if !strings.Contains(old, `"Parallelism":4`) {
+		t.Fatalf("fixture config %s does not carry the legacy field", old)
+	}
+	if got := strings.Replace(old, `"Parallelism":4`, `"Parallelism":0`, 1); fresh != got {
+		t.Errorf("fresh save encodes config as\n%s\nwant\n%s", fresh, got)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dlacep/internal/cep"
@@ -31,14 +30,12 @@ type Result struct {
 
 	FilterTime time.Duration
 	CEPTime    time.Duration
-	// WallTime is the run's total wall-clock time as recorded by the
-	// pipeline around the whole evaluation. FilterTime+CEPTime used to
-	// stand in for it, but that sum misses assembly, dedup/relay
-	// bookkeeping, and the parallel merge — work that grows with
-	// Config.Parallelism — so throughput computed from it over-reported on
-	// parallel runs. Zero when the run went through the incremental
-	// Processor (which cannot see the time between Push calls); Elapsed
-	// then falls back to the stage sum.
+	// WallTime is the run's total wall-clock time as recorded around the
+	// whole evaluation by Run, RunWindows and RunECEP*. It includes the
+	// window assembly and dedup/relay bookkeeping that FilterTime+CEPTime
+	// miss. Zero when the caller drove a Processor itself (which cannot
+	// see the time between Push calls); Elapsed then falls back to the
+	// stage sum.
 	WallTime time.Duration
 
 	CEPStats []cep.Stats // one per monitored pattern
@@ -100,16 +97,16 @@ type Pipeline struct {
 	Cfg    Config
 	Filter EventFilter
 	// Obs, when non-nil, receives stage-level telemetry: the pipeline.*
-	// metrics above, per-worker mark timings, and per-pattern cep.* spans
-	// and instance gauges. Set it between NewPipeline and the first run;
-	// nil (the default) keeps the hot path uninstrumented at zero cost.
+	// metrics above and per-pattern cep.* spans and instance gauges. Set it
+	// between NewPipeline and the first run; nil (the default) keeps the
+	// hot path uninstrumented at zero cost.
 	Obs *obs.Registry
 	// Trace, when non-nil, samples per-window critical-path traces
 	// (internal/obs/trace): 1-of-stride windows get a WindowTrace with
 	// ingest/mark/relay/CEP stamps, published into the tracer's bounded
-	// ring. Covers the incremental Processor path (and the sharded
-	// pipeline, which reads the same field); the batch run() path is
-	// untraced. Nil keeps the hot path at one pointer compare per event.
+	// ring. Covers the Processor, and therefore Run (and the sharded
+	// pipeline, which reads the same field); RunWindows is untraced. Nil
+	// keeps the hot path at one pointer compare per event.
 	Trace *trace.Tracer
 	// TrackKeys enables per-pattern match-key collection into
 	// Result.KeysByPattern (a map insert per pre-dedup match). The harness
@@ -151,19 +148,8 @@ func NewPipeline(schema *event.Schema, pats []*pattern.Pattern, cfg Config, filt
 // keep their original IDs and the engines enforce the ID-distance
 // constraint of Section 4.4, every emitted match is also an exact match
 // (for negation-free patterns). Run is the batch convenience over
-// NewProcessor's incremental interface; with Cfg.Parallelism > 1 it instead
-// pre-cuts the stream into the Processor's window geometry and marks the
-// windows concurrently, producing the same match-key set.
+// NewProcessor's incremental interface.
 func (pl *Pipeline) Run(st *event.Stream) (*Result, error) {
-	if pl.Cfg.Workers() > 1 {
-		total := 0
-		for i := range st.Events {
-			if !st.Events[i].IsBlank() {
-				total++
-			}
-		}
-		return pl.run(assembleStreaming(st.Events, pl.Cfg.MarkSize, pl.Cfg.StepSize), total)
-	}
 	wall := metrics.StartStopwatch()
 	p, err := pl.NewProcessor()
 	if err != nil {
@@ -184,8 +170,11 @@ func (pl *Pipeline) Run(st *event.Stream) (*Result, error) {
 
 // RunWindows evaluates pre-cut (possibly blank-padded) windows, the entry
 // point for simulated time-based evaluation (Figure 14). Windows must be
-// ID-ordered and may overlap.
+// ID-ordered and may overlap. Empty windows are skipped without touching
+// the filter (a BiLSTM or CRF forward pass over zero timesteps is
+// undefined).
 func (pl *Pipeline) RunWindows(windows [][]event.Event) (*Result, error) {
+	wall := metrics.StartStopwatch()
 	total := 0
 	seen := map[uint64]bool{}
 	for _, w := range windows {
@@ -196,44 +185,19 @@ func (pl *Pipeline) RunWindows(windows [][]event.Event) (*Result, error) {
 			}
 		}
 	}
-	return pl.run(windows, total)
-}
-
-func (pl *Pipeline) run(windows [][]event.Event, totalEvents int) (*Result, error) {
-	wall := metrics.StartStopwatch()
-	workers := pl.Cfg.Workers()
-	engines := make([]*cep.Engine, len(pl.pats))
-	for i, p := range pl.pats {
-		en, err := cep.New(p, pl.schema)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = en
+	es, err := pl.newEngines()
+	if err != nil {
+		return nil, err
 	}
-	es := newEngineSet(engines, workers, pl.Obs)
-	if pl.TrackKeys {
-		es.trackKeys()
-	}
-	res := &Result{Keys: map[string]bool{}, EventsTotal: totalEvents}
+	res := &Result{Keys: map[string]bool{}, EventsTotal: total}
 	// Handles resolved once; on a nil registry they are nil and every
 	// update below is a pointer-compare no-op.
-	pl.Obs.Counter(metricEventsIn).Add(int64(totalEvents))
+	pl.Obs.Counter(metricEventsIn).Add(int64(total))
 	relayedC := pl.Obs.Counter(metricEventsRelay)
 	pendingG := pl.Obs.Gauge(metricPendingDepth)
 	winRelC := pl.Obs.Counter(metricWindowsRelay)
 	winDropC := pl.Obs.Counter(metricWindowsDrop)
-
-	// Marking phase: every window's marks are independent of the relay, so
-	// they are computed up front — concurrently when Parallelism allows —
-	// and consumed by the sequential relay scan below in window order.
-	sw := metrics.StartStopwatch()
-	marks := markWindows(pl.Filter, windows, workers, pl.Obs)
-	res.FilterTime = sw.Elapsed()
-	for i := range windows {
-		if len(marks[i]) != len(windows[i]) {
-			return nil, fmt.Errorf("core: filter returned %d marks for %d events", len(marks[i]), len(windows[i]))
-		}
-	}
+	windowH := pl.Obs.Histogram(metricFilterWindow)
 
 	// pending holds marked events not yet safe to relay: a later window may
 	// still mark events with smaller IDs than this window's largest, so
@@ -262,14 +226,23 @@ func (pl *Pipeline) run(windows [][]event.Event, totalEvents int) (*Result, erro
 	}
 
 	for wi, w := range windows {
+		var marks []bool
 		if len(w) > 0 {
-			if anyMarked(marks[wi], w) {
+			sw := metrics.StartStopwatch()
+			marks = pl.Filter.Mark(w)
+			d := sw.Elapsed()
+			res.FilterTime += d
+			windowH.Observe(d)
+			if len(marks) != len(w) {
+				return nil, fmt.Errorf("core: filter returned %d marks for %d events", len(marks), len(w))
+			}
+			if anyMarked(marks, w) {
 				winRelC.Inc()
 			} else {
 				winDropC.Inc()
 			}
 		}
-		for i, m := range marks[wi] {
+		for i, m := range marks {
 			if !m || w[i].IsBlank() || relayed[w[i].ID] {
 				continue
 			}
@@ -293,86 +266,45 @@ func (pl *Pipeline) run(windows [][]event.Event, totalEvents int) (*Result, erro
 		}
 	}
 	flush(0, true)
-	sw = metrics.StartStopwatch()
+	sw := metrics.StartStopwatch()
 	res.Matches = appendMatches(res.Matches, es.Flush(res.Keys))
 	res.CEPStats = es.Stats()
 	res.KeysByPattern = es.patKeys
 	res.CEPTime += sw.Elapsed()
-	pl.Obs.Counter(metricEventsDrop).Add(int64(totalEvents - res.EventsRelayed))
+	pl.Obs.Counter(metricEventsDrop).Add(int64(total - res.EventsRelayed))
 	res.WallTime = wall.Elapsed()
 	return res, nil
 }
 
 // RunECEP evaluates the same patterns exactly (no filtering) and measures
 // throughput, producing the baseline side of every "gain over ECEP"
-// comparison. It runs single-threaded so measured baselines keep the
-// paper's single-core semantics; see RunECEPParallel.
+// comparison. It runs single-threaded, the paper's single-core semantics.
 func RunECEP(schema *event.Schema, pats []*pattern.Pattern, st *event.Stream) (*Result, error) {
-	return RunECEPParallel(schema, pats, st, 1)
+	return RunECEPObserved(schema, pats, st, nil)
 }
 
-// RunECEPParallel is RunECEP with per-pattern fan-out: up to workers
-// patterns are evaluated concurrently, each on its own engine, and the
-// match sets are merged in pattern order under the usual Keys dedup. The
-// resulting Keys set and per-pattern CEPStats are identical to RunECEP's.
-func RunECEPParallel(schema *event.Schema, pats []*pattern.Pattern, st *event.Stream, workers int) (*Result, error) {
-	return RunECEPObserved(schema, pats, st, workers, nil)
-}
-
-// RunECEPObserved is RunECEPParallel publishing per-pattern telemetry into
-// reg: one ecep.pattern.N.run_ns span per engine plus instance/match count
-// gauges (the engine-internal cost statistics of Section 3.2). A nil reg
-// disables publishing.
-func RunECEPObserved(schema *event.Schema, pats []*pattern.Pattern, st *event.Stream, workers int, reg *obs.Registry) (*Result, error) {
+// RunECEPObserved is RunECEP publishing per-pattern telemetry into reg: one
+// ecep.pattern.N.run_ns span per engine plus instance/match count gauges
+// (the engine-internal cost statistics of Section 3.2). A nil reg disables
+// publishing.
+func RunECEPObserved(schema *event.Schema, pats []*pattern.Pattern, st *event.Stream, reg *obs.Registry) (*Result, error) {
 	res := &Result{Keys: map[string]bool{}, EventsTotal: st.Len(), EventsRelayed: st.Len()}
-	type patternRun struct {
-		matches []*cep.Match
-		stats   cep.Stats
-		err     error
-	}
-	runs := make([]patternRun, len(pats))
-	spanName := make([]string, len(pats))
-	if reg != nil {
-		for i := range pats {
-			spanName[i] = fmt.Sprintf("ecep.pattern.%d.run_ns", i)
-		}
-	}
-	runOne := func(i int, p *pattern.Pattern) {
+	res.KeysByPattern = make([]map[string]bool, len(pats))
+	sw := metrics.StartStopwatch()
+	for i, p := range pats {
 		var sp obs.Span
 		if reg != nil {
-			sp = obs.Start(reg, spanName[i])
+			sp = obs.Start(reg, fmt.Sprintf("ecep.pattern.%d.run_ns", i))
 		}
-		runs[i].matches, runs[i].stats, runs[i].err = cep.Run(p, st)
+		matches, stats, err := cep.Run(p, st)
 		sp.End()
-	}
-	sw := metrics.StartStopwatch()
-	if workers > 1 && len(pats) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, p := range pats {
-			wg.Add(1)
-			go func(i int, p *pattern.Pattern) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runOne(i, p)
-			}(i, p)
-		}
-		wg.Wait()
-	} else {
-		for i, p := range pats {
-			runOne(i, p)
-		}
-	}
-	res.KeysByPattern = make([]map[string]bool, len(pats))
-	for i, r := range runs {
-		if r.err != nil {
-			return nil, r.err
+		if err != nil {
+			return nil, err
 		}
 		// Per-pattern key sets are taken pre-dedup: the global Keys dedup
 		// below erases cross-pattern repeats that per-pattern recall needs.
 		res.KeysByPattern[i] = map[string]bool{}
-		for _, m := range r.matches {
+		for _, m := range matches {
 			k := m.Key()
 			res.KeysByPattern[i][k] = true
 			if !res.Keys[k] {
@@ -380,9 +312,9 @@ func RunECEPObserved(schema *event.Schema, pats []*pattern.Pattern, st *event.St
 				res.Matches = append(res.Matches, m)
 			}
 		}
-		res.CEPStats = append(res.CEPStats, r.stats)
+		res.CEPStats = append(res.CEPStats, stats)
 		if reg != nil {
-			r.stats.Publish(reg, fmt.Sprintf("ecep.pattern.%d", i))
+			stats.Publish(reg, fmt.Sprintf("ecep.pattern.%d", i))
 		}
 	}
 	res.CEPTime = sw.Elapsed()

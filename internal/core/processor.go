@@ -62,18 +62,11 @@ func (pl *Pipeline) NewProcessor() (*Processor, error) {
 		winDropC: pl.Obs.Counter(metricWindowsDrop),
 		tracer:   pl.Trace,
 	}
-	engines := make([]*cep.Engine, len(pl.pats))
-	for i, pat := range pl.pats {
-		en, err := cep.New(pat, pl.schema)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = en
+	es, err := pl.newEngines()
+	if err != nil {
+		return nil, err
 	}
-	p.es = newEngineSet(engines, pl.Cfg.Workers(), pl.Obs)
-	if pl.TrackKeys {
-		p.es.trackKeys()
-	}
+	p.es = es
 	return p, nil
 }
 
@@ -212,7 +205,7 @@ func (p *Processor) Result() *Result { return p.res }
 // The Processor is single-goroutine by contract, so the filter — and the
 // nn.Scratch inference arena a network filter owns — sees one window at a
 // time; in steady state the deep filters' forward pass is allocation-free
-// here, exactly as in the parallel worker loops (parallel.go).
+// here.
 //
 //dlacep:hotpath
 func (p *Processor) markWindow(window []event.Event) error {

@@ -48,7 +48,7 @@ func Ablations(sc Scale) ([]*Report, error) {
 		{"mark=3W,step=2W", 3 * sc.W, 2 * sc.W},
 		{"mark=W,step=1 (exhaustive)", sc.W, 1},
 	} {
-		cfg := core.Config{MarkSize: g.mark, StepSize: g.step, Hidden: sc.Hidden, Layers: sc.Layers, Seed: sc.Seed, Parallelism: sc.Parallelism}
+		cfg := core.Config{MarkSize: g.mark, StepSize: g.step, Hidden: sc.Hidden, Layers: sc.Layers, Seed: sc.Seed}
 		pl, err := core.NewPipeline(st.Schema, pats, cfg, core.OracleFilter{L: lab})
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", g.name, err)
@@ -94,7 +94,7 @@ func Ablations(sc Scale) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{MarkSize: 2 * sc.W, StepSize: sc.W, Hidden: sc.Hidden, Layers: sc.Layers, Seed: sc.Seed, Parallelism: sc.Parallelism}
+		cfg := core.Config{MarkSize: 2 * sc.W, StepSize: sc.W, Hidden: sc.Hidden, Layers: sc.Layers, Seed: sc.Seed}
 		pl, err := core.NewPipeline(st.Schema, npats, cfg, core.OracleFilter{L: nlab})
 		if err != nil {
 			return nil, err

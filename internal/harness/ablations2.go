@@ -43,7 +43,7 @@ func extraAblations(sc Scale) ([]*Report, error) {
 
 	// 4. shedding comparison at the oracle filter's drop ratio
 	shedRep := &Report{ID: "abl-shedding", Title: "ablation: DLACEP filtering vs load shedding at equal drop ratio"}
-	cfg := core.Config{MarkSize: 2 * sc.W, StepSize: sc.W, Hidden: sc.Hidden, Layers: sc.Layers, Seed: sc.Seed, Parallelism: sc.Parallelism}
+	cfg := core.Config{MarkSize: 2 * sc.W, StepSize: sc.W, Hidden: sc.Hidden, Layers: sc.Layers, Seed: sc.Seed}
 	pl, err := core.NewPipeline(st.Schema, pats, cfg, core.OracleFilter{L: lab})
 	if err != nil {
 		return nil, err

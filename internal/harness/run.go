@@ -63,7 +63,7 @@ func RunCase(sc Scale, pats []*pattern.Pattern, st *event.Stream, kinds []Filter
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{MarkSize: 2 * w, StepSize: w, Hidden: sc.Hidden, Layers: sc.Layers, Arch: opts.Arch, Seed: sc.Seed, Parallelism: sc.Parallelism}
+	cfg := core.Config{MarkSize: 2 * w, StepSize: w, Hidden: sc.Hidden, Layers: sc.Layers, Arch: opts.Arch, Seed: sc.Seed}
 
 	var windows [][]event.Event
 	if opts.MaxWindow > 0 {

@@ -41,11 +41,6 @@ type Scale struct {
 	// convergence instead, reaching recall 0.95+ without calibration).
 	TargetRecall float64
 
-	// Parallelism is the pipeline worker bound (core.Config.Parallelism);
-	// 0 keeps the single-threaded semantics the paper measures. Matches
-	// are identical at every level, only throughput changes.
-	Parallelism int
-
 	// Shards, when > 1, runs the DLACEP measurement pass through the
 	// key-sharded serving pipeline (internal/shard) instead of the batch
 	// Run path: events hash-partitioned by type onto Shards marking

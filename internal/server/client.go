@@ -25,7 +25,12 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, w: bufio.NewWriter(conn), r: bufio.NewReader(conn)}, nil
+	return NewClient(conn), nil
+}
+
+// NewClient speaks the line protocol over an established connection.
+func NewClient(conn net.Conn) *Client {
+	return &Client{conn: conn, w: bufio.NewWriter(conn), r: bufio.NewReader(conn)}
 }
 
 // Send transmits one event (the ID is assigned server-side).
@@ -67,6 +72,12 @@ func (c *Client) Recv() (*Message, error) {
 	if err := c.w.Flush(); err != nil {
 		return nil, err
 	}
+	return c.Read()
+}
+
+// Read reads the next server message without touching the write side, so
+// one goroutine can Read while another Sends and Flushes.
+func (c *Client) Read() (*Message, error) {
 	line, err := c.r.ReadBytes('\n')
 	if err != nil {
 		return nil, err
